@@ -24,6 +24,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORK = ".perfbench-work"
 GOLDEN = os.path.join(HERE, "golden")
+#: How often ``reap`` samples the peak memory of a child's children.
+CHILD_SAMPLE_S = 0.05
 
 
 class BenchError(RuntimeError):
@@ -69,16 +71,11 @@ def child_env(workdir: str) -> dict[str, str]:
     return env
 
 
-def spawn(argv: list[str], workdir: str, log_name: str, pin: bool = False) -> subprocess.Popen:
-    """Start a child with stdout piped and stderr sent to a log file.
-
-    ``pin`` binds a single-process child to one CPU: unpinned, the
-    scheduler moves it between CPUs whose speeds differ on a shared host,
-    which splits every latency distribution in two.
-    """
+def spawn(argv: list[str], workdir: str, log_name: str) -> subprocess.Popen:
+    """Start a child with stdout piped and stderr sent to a log file."""
     log = open(os.path.join(workdir, log_name), "ab")
     try:
-        proc = subprocess.Popen(
+        return subprocess.Popen(
             argv,
             env=child_env(workdir),
             stdout=subprocess.PIPE,
@@ -87,29 +84,32 @@ def spawn(argv: list[str], workdir: str, log_name: str, pin: bool = False) -> su
         )
     finally:
         log.close()
-    if pin:
-        try:
-            os.sched_setaffinity(proc.pid, {max(os.sched_getaffinity(0))})
-        except OSError:
-            pass  # the child already exited; reap() reports how
-    return proc
 
 
-def reap(proc: subprocess.Popen, timeout: float) -> tuple[int, float]:
+def reap(proc: subprocess.Popen, timeout: float, children: bool = False) -> tuple[int, float]:
     """Wait for ``proc``; return (exit code, its peak resident set in MB).
 
     The peak comes from ``wait4``'s ``ru_maxrss`` (kilobytes on Linux),
     which covers the whole life of the process, not just the moment of a
-    sample.  A child still running after ``timeout`` is killed.
+    sample.  ``ru_maxrss`` is the largest of the process and its reaped
+    descendants, not their sum, so with ``children`` the ``VmHWM`` of each
+    child, sampled while it lives, is added.  A child still running after
+    ``timeout`` is killed.
     """
     deadline = time.monotonic() + timeout
+    peaks: dict[int, float] = {}
+    next_sample = 0.0
     while True:
+        if children and time.monotonic() >= next_sample:
+            for child in child_pids(proc.pid):
+                peaks[child] = max(peaks.get(child, 0.0), vm_hwm_mb(child))
+            next_sample = time.monotonic() + CHILD_SAMPLE_S
         pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
         if pid:
             proc.returncode = os.waitstatus_to_exitcode(status)
             if proc.stdout is not None:
                 proc.stdout.close()
-            return proc.returncode, usage.ru_maxrss / 1024.0
+            return proc.returncode, usage.ru_maxrss / 1024.0 + sum(peaks.values())
         if time.monotonic() > deadline:
             proc.kill()
             deadline = time.monotonic() + 10
@@ -251,13 +251,13 @@ def access_count(stats: dict) -> int:
     return accesses["fetch_reads"] + accesses["retire_reads"] + accesses["entry_writes"]
 
 
-def ledger_path(workload: str, directory: str | None = None) -> str:
-    return os.path.join(directory or GOLDEN, f"{workload}.json")
+def ledger_path(workload: str) -> str:
+    return os.path.join(GOLDEN, f"{workload}.json")
 
 
-def load_ledger(workload: str, directory: str | None = None) -> dict[str, str]:
+def load_ledger(workload: str) -> dict[str, str]:
     """Flatten ``{trace ref: {spec|scenario: digest}}`` into ``{key: digest}``."""
-    with open(ledger_path(workload, directory)) as handle:
+    with open(ledger_path(workload)) as handle:
         document = json.load(handle)
     return {
         f"{head}|{ref}|{scenario}": value
@@ -366,26 +366,32 @@ def sim_counts(records) -> dict[str, int]:
     return counts
 
 
-def local_trace_costs(refs: list[str], shipped: bool) -> dict:
-    """Time resolving (and, if ``shipped``, pickling) the traces of ``refs``.
+def local_trace_costs(lifetimes: list[list[str]]) -> dict:
+    """Time resolving and pickling the traces the program resolves and ships.
 
-    The service and the worker export no span for trace resolution or for
-    pickling a trace into the pool, so the benchmark times the same public
-    calls (``resolve_trace_ref``, a pickle round trip of the ``Trace``) on
-    the same inputs in its own process.
+    Each list in ``lifetimes`` holds the trace refs of the pool tasks one
+    program process ran, in order.  The service and the worker export no
+    span for trace resolution or for pickling a trace into the pool, so the
+    benchmark times the same public calls (``resolve_trace_ref``, a pickle
+    round trip of the ``Trace``) on the same inputs in its own process.  A
+    persistent ``Runner`` resolves each ref once per lifetime, so a ref is
+    resolved once per list; every task pickles its trace, so every
+    occurrence is pickled.
     """
     use_source_tree()
     from repro.traces.refs import resolve_trace_ref
 
     resolve = pickled = 0.0
     branches = size = 0
-    for ref in refs:
-        start = time.perf_counter()
-        traces = resolve_trace_ref(ref)
-        resolve += time.perf_counter() - start
-        for trace in traces:
-            branches += len(trace)
-            if shipped:
+    for refs in lifetimes:
+        resolved: dict[str, list] = {}
+        for ref in refs:
+            if ref not in resolved:
+                start = time.perf_counter()
+                resolved[ref] = resolve_trace_ref(ref)
+                resolve += time.perf_counter() - start
+                branches += sum(len(trace) for trace in resolved[ref])
+            for trace in resolved[ref]:
                 start = time.perf_counter()
                 blob = pickle.dumps(trace)
                 pickle.loads(blob)

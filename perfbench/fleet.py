@@ -1,17 +1,22 @@
 """The ``fleet-drain`` workload: one ``repro worker`` drains a FileBroker queue.
 
-Each round publishes ``plan.FLEET_JOBS_PER_ROUND`` one-request tickets to a
-fresh broker directory through ``FileBroker.publish``, in the payload shape
+Each round publishes a tiny probe ticket and then
+``plan.FLEET_JOBS_PER_ROUND`` one-request tickets to a fresh broker
+directory through ``FileBroker.publish``, in the payload shape
 ``SimulationService._publish`` uses (requests, batch flag, trace id and the
 span context the worker adopts), then starts
 ``repro worker --broker DIR --max-jobs N`` with an empty result-cache
-directory and waits for it to exit.
+directory and waits for it to exit.  The worker executes every ticket
+through the pool child of its persistent ``Runner``, which it starts
+during its first job.
 
-Per round, set-up runs from spawning the worker to the start of its first
-``worker.execute`` span, and the drain window from there to the last
-completion; both come from the spans and completion times the broker
-stores next to each job (``FileBroker.snapshot``).  The inter-completion
-intervals are the per-job latencies.
+Per round, set-up runs from spawning the worker to the completion of the
+probe, which the worker leases first: like ``repro serve``'s set-up it
+includes the start of the pool.  The drain window runs from there to the
+last completion, and the intervals between consecutive completions are the
+per-job latencies; completion times and spans come from what the broker
+stores next to each job (``FileBroker.snapshot``).  Peak memory adds the
+pool child's to the worker's.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ from common import (
 MIN_ROUNDS = 3
 MAX_SECONDS = 120.0
 ROUND_TIMEOUT = 90.0
+#: The probe's id sorts before every ``job-*`` id, so within one
+#: millisecond of publication the broker still delivers it first.
+PROBE_ID = "a-probe"
+PROBE = plan.request("always-taken", {}, "synthetic:biased?length=64&seed=7", "I")
 
 
 def _round(workdir: str, tag: str, index: int, jobs: list[dict], seed: int, ledger) -> dict:
@@ -50,6 +59,7 @@ def _round(workdir: str, tag: str, index: int, jobs: list[dict], seed: int, ledg
 
     root = f"{workdir}/{tag}-broker-{index}"
     broker = FileBroker(root)
+    broker.publish(PROBE_ID, {"requests": [PROBE], "batch": False})
     publish = []
     ids = []
     for number, req in enumerate(jobs):
@@ -63,15 +73,19 @@ def _round(workdir: str, tag: str, index: int, jobs: list[dict], seed: int, ledg
         ids.append(job_id)
 
     argv = [sys.executable, "-m", "repro", "worker", "--broker", root]
-    argv += ["--max-jobs", str(len(jobs)), "--cache-dir", f"{root}-cache"]
+    argv += ["--max-jobs", str(len(jobs) + 1), "--cache-dir", f"{root}-cache"]
     spawned = time.time()
-    proc = spawn(argv, workdir, f"{tag}-worker-{index}.log", pin=True)
+    proc = spawn(argv, workdir, f"{tag}-worker-{index}.log")
     try:
-        code, rss = reap(proc, ROUND_TIMEOUT)
+        code, rss = reap(proc, ROUND_TIMEOUT, children=True)
     finally:
         kill_quietly(proc)
     if code != 0:
         raise BenchError(f"repro worker exited with {code} in round {index}")
+    probe = broker.snapshot(PROBE_ID)
+    if probe["state"] != "done" or not probe.get("finished"):
+        raise BenchError(f"round {index}: the set-up probe ended {probe['state']!r}")
+    ready = probe["finished"]
 
     records = []
     for job_id, req in zip(ids, jobs):
@@ -92,20 +106,16 @@ def _round(workdir: str, tag: str, index: int, jobs: list[dict], seed: int, ledg
             record["ok"] = expected is not None and digest(payload_stats(payload)) == expected
             record["branches"] = payload["branches"]
             record["mispredictions"] = payload["mispredictions"]
-        executes = [span for span in record["spans"] if span["name"] == "worker.execute"]
-        record["execute_start"] = min((span["start"] for span in executes), default=None)
         records.append(record)
 
-    starts = [record["execute_start"] for record in records if record["execute_start"]]
     finishes = sorted(record["finished"] for record in records if record["finished"])
-    if not starts or not finishes:
+    if not finishes:
         raise BenchError(f"round {index}: the worker completed no job")
-    first = min(starts)
-    intervals = [b - a for a, b in zip([first] + finishes[:-1], finishes)]
+    intervals = [b - a for a, b in zip([ready] + finishes[:-1], finishes)]
     return {
         "records": records,
-        "setup": first - spawned,
-        "window": finishes[-1] - first,
+        "setup": ready - spawned,
+        "window": finishes[-1] - ready,
         "intervals": intervals,
         "publish": publish,
         "rss": rss,
@@ -132,10 +142,15 @@ def _summary(rounds: list[dict]) -> dict:
     records = [record for one in rounds for record in one["records"]]
     window = sum(one["window"] for one in rounds)
     intervals = [value for one in rounds for value in one["intervals"]]
+    done = [[record for record in one["records"] if record["ok"]] for one in rounds]
+    # Throughput is a median over rounds: each round is one worker's life,
+    # so a host slow-down during one round moves that round only.
     e2e = {
         "setup_s": median(one["setup"] for one in rounds),
-        "branches_per_s": ratio(sum(r["branches"] for r in records if r["ok"]), window),
-        "req_per_s": ratio(sum(1 for r in records if r["ok"]), window),
+        "branches_per_s": median(
+            ratio(sum(r["branches"] for r in ok), one["window"]) for ok, one in zip(done, rounds)
+        ),
+        "req_per_s": median(ratio(len(ok), one["window"]) for ok, one in zip(done, rounds)),
         "latency_p50_ms": median(intervals) * 1000.0,
         "latency_p95_ms": percentile(intervals, 0.95) * 1000.0,
         "peak_rss_mb": median(one["rss"] for one in rounds),
@@ -202,5 +217,7 @@ def _layers(rounds: list[dict], summary: dict) -> dict:
         "latency_samples": len(summary["intervals"]),
     }
     layers.update(sim_counts(records))
-    layers.update(local_trace_costs([record["trace"] for record in records], shipped=False))
+    # One worker process per round: its Runner resolves each ref once per
+    # round, and every job pickles its trace into the pool child.
+    layers.update(local_trace_costs([[r["trace"] for r in one["records"]] for one in rounds]))
     return layers

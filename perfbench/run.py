@@ -213,16 +213,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--ledger-dir", default=None, help="read golden ledgers from here (self-test only)"
-    )
     parser.add_argument("--size", type=int, default=None, help="size of each half of a traced run")
     args = parser.parse_args(argv)
     traced = bool(args.trace)
     size = args.size or TRACED_SIZE[args.workload]
     try:
         require_checkout()
-        ledger = load_ledger(args.workload, args.ledger_dir)
+        ledger = load_ledger(args.workload)
         calibration = [host_calibration_ms()]
         if args.workload in ("paper-tage", "sweep-numpy"):
             outcome = run_inproc(args.workload, args.seed, args.seconds, traced, ledger, size)

@@ -298,9 +298,10 @@ def _traced(seed, sequences, ledger, workdir, servers, per_client: int) -> dict:
 
     layers = _stats_delta(before, after)
     layers.update(_span_layers(trees))
-    # Only fresh submissions miss the result cache and ship a trace to the pool.
+    # Only fresh submissions miss the result cache and ship a trace to the
+    # pool; the server's one persistent Runner resolves each ref once.
     fresh = [record["request"]["trace"] for record in submits if not record.get("repeat")]
-    layers.update(local_trace_costs(fresh, shipped=True))
+    layers.update(local_trace_costs([fresh]))
     for op in ("submit", "get", "list"):
         latencies = [record["latency"] for record in records if record["op"] == op]
         layers[f"http.{op}.p50_ms"] = median(latencies) * 1000.0

@@ -25,6 +25,59 @@ WORKLOADS = ("paper-tage", "sweep-numpy", "service-mixed", "fleet-drain")
 with open(os.path.join(ROOT, "BENCHMARK.json")) as _handle:
     SPEC = json.load(_handle)
 
+#: Layer metrics each workload exercises, so a tiny traced run must read
+#: them above 0: a renamed span or an unwrapped call would zero them.
+EXERCISED = {
+    "paper-tage": (
+        "traces.resolve_s",
+        "traces.decode_s",
+        "engine.interp.us_per_branch",
+        "engine.isl-tage.I.us_per_branch",
+        "engine.isl-tage.C.us_per_branch",
+        "engine.tage-lsc.I.us_per_branch",
+        "engine.tage-lsc.C.us_per_branch",
+        "backend.numpy.I.us_per_branch",
+        "backend.numpy.C.us_per_branch",
+        "backend.route_ratio",
+        "payload.serialize_s",
+        "runner.unattributed_s",
+    ),
+    "sweep-numpy": (
+        "traces.resolve_s",
+        "traces.decode_s",
+        "backend.numpy.I.us_per_branch",
+        "backend.numpy.C.us_per_branch",
+        "backend.route_ratio",
+        "payload.serialize_s",
+        "runner.unattributed_s",
+    ),
+    "service-mixed": (
+        "traces.resolve_s",
+        "traces.pickle_s",
+        "traces.pickle_bytes",
+        "engine.interp.us_per_branch",
+        "runner.plan_s",
+        "pool.ipc_s",
+        "http.submit.p50_ms",
+        "http.get.p50_ms",
+        "http.list.p50_ms",
+        "service.queue_s",
+        "service.dispatch_s",
+        "service.dispatcher_utilization",
+        "cache.hit_ratio",
+    ),
+    "fleet-drain": (
+        "traces.resolve_s",
+        "traces.pickle_s",
+        "traces.pickle_bytes",
+        "engine.interp.us_per_branch",
+        "runner.plan_s",
+        "broker.publish_ms",
+        "worker.execute_ms",
+        "fleet.attempts_per_job",
+    ),
+}
+
 
 def bench(*args: str, cwd: str = ROOT) -> tuple[int, dict | None, str]:
     proc = subprocess.run(
@@ -74,20 +127,31 @@ def test_tiny_traced_run_emits_every_layer_metric(workload):
     assert metrics["trace_overhead_ratio"] > 0
     if workload in ("paper-tage", "sweep-numpy"):
         assert metrics["layers.coverage"] >= 0.9, metrics["layers.coverage"]
+    unexercised = [name for name in EXERCISED[workload] if not metrics[name] > 0]
+    assert not unexercised, output
+
+
+def copy_benchmark(destination) -> None:
+    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), destination / "BENCHMARK.json")
+    shutil.copytree(
+        os.path.join(ROOT, "perfbench"),
+        destination / "perfbench",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
 
 
 def test_wrong_pinned_digest_fails_every_operation(tmp_path):
-    golden = os.path.join(ROOT, "perfbench", "golden", "sweep-numpy.json")
+    copy_benchmark(tmp_path)
+    os.symlink(os.path.join(ROOT, "src"), tmp_path / "src")
+    golden = tmp_path / "perfbench" / "golden" / "sweep-numpy.json"
     with open(golden) as handle:
         ledger = json.load(handle)
     for entries in ledger["entries"].values():
         for key in entries:
             entries[key] = "0" * 16
-    with open(tmp_path / "sweep-numpy.json", "w") as handle:
+    with open(golden, "w") as handle:
         json.dump(ledger, handle)
-    code, result, output = bench(
-        "--workload", "sweep-numpy", "--seconds", "1", "--ledger-dir", str(tmp_path)
-    )
+    code, result, output = bench("--workload", "sweep-numpy", "--seconds", "1", cwd=str(tmp_path))
     assert code == 1, output
     assert result is not None and not result["correct"]
     assert result["failed"] == result["attempted"] >= 1
@@ -96,12 +160,7 @@ def test_wrong_pinned_digest_fails_every_operation(tmp_path):
 
 
 def test_refuses_to_run_without_the_program(tmp_path):
-    shutil.copy(os.path.join(ROOT, "BENCHMARK.json"), tmp_path / "BENCHMARK.json")
-    shutil.copytree(
-        os.path.join(ROOT, "perfbench"),
-        tmp_path / "perfbench",
-        ignore=shutil.ignore_patterns("__pycache__"),
-    )
+    copy_benchmark(tmp_path)
     code, result, output = bench("--workload", "paper-tage", "--seconds", "1", cwd=str(tmp_path))
     assert code != 0
     assert result is None, output

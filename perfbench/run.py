@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload paper-tage --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload paper-tage --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics of ``BENCHMARK.json`` with no
 benchmark tracing; ``--trace 1`` runs a fixed set of operations twice, plain
@@ -44,7 +44,7 @@ from common import (
 )
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
 #: Size of each half of a traced run: operations (in-process workloads),
 #: blocks of 40 operations per client (service) or broker rounds (fleet).
 TRACED_SIZE = {"paper-tage": 16, "sweep-numpy": 16, "service-mixed": 3, "fleet-drain": 4}
@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=plan.WORKLOADS)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=25.0)
+    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--size", type=int, default=None, help="size of each half of a traced run")
     args = parser.parse_args(argv)

@@ -45,7 +45,7 @@ from common import (
     write_spans,
 )
 
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 #: Operations per client, per unit of traced-run size, in each half of a
 #: traced run.  The service keeps the span trees of its last 256 requests,
 #: so at the default size both clients' submissions stay retrievable.

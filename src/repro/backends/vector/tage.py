@@ -80,11 +80,11 @@ def tage_kernel_for(spec: PredictorSpec) -> TAGEKernel | None:
 class _StreamTAGE(TAGEPredictor):
     """A TAGEPredictor fed precomputed per-branch index/tag streams.
 
-    ``table_index``/``table_tag`` become cursor lookups and
-    ``update_history`` only advances the cursor — the live fold, history
-    and path registers stay untouched (and unread).  Every other code
-    path (prediction combination, update, allocation, accounting) is the
-    inherited reference implementation.
+    ``_indices_tags`` becomes a cursor lookup and ``update_history`` only
+    advances the cursor — the live folds, history and path registers stay
+    untouched (and unread).  Every other code path (prediction
+    combination, update, allocation, accounting) is the inherited
+    reference implementation.
     """
 
     def __init__(
@@ -94,15 +94,11 @@ class _StreamTAGE(TAGEPredictor):
         tag_streams: list[list[int]],
     ) -> None:
         super().__init__(config)
-        self._index_streams = index_streams
-        self._tag_streams = tag_streams
+        self._streams = list(zip(zip(*index_streams), zip(*tag_streams)))
         self._cursor = 0
 
-    def table_index(self, pc: int, table: int) -> int:
-        return self._index_streams[table][self._cursor]
-
-    def table_tag(self, pc: int, table: int) -> int:
-        return self._tag_streams[table][self._cursor]
+    def _indices_tags(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._streams[self._cursor]
 
     def update_history(self, pc: int, taken: bool, info: PredictionInfo) -> None:
         self._cursor += 1

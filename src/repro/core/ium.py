@@ -27,10 +27,13 @@ Two flavours are provided, selected by ``mode``:
 The structure mirrors Figure 4: entries are appended at fetch, marked
 "executed" with their resolved direction when the out-of-order core
 resolves them, squashed past a misprediction and released at retirement.
+Branches retire in fetch order, so the released entry is the oldest one
+and leaves the front of the queue in O(1).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.common.counters import clamp
@@ -82,9 +85,9 @@ class ImmediateUpdateMimicker:
     Parameters
     ----------
     capacity:
-        Maximum number of in-flight branches tracked (one entry per
-        in-flight branch in hardware; 256 is far above any realistic
-        window and simply bounds memory).
+        Entries of the hardware buffer, for :meth:`storage_report` only.
+        The model tracks every in-flight branch: an entry leaves only when
+        its branch retires or is squashed, never to make room.
     mode:
         ``"counter"`` (mimic the immediate counter update, default) or
         ``"outcome"`` (respond with the raw executed outcome).
@@ -99,7 +102,7 @@ class ImmediateUpdateMimicker:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
         self.capacity = capacity
         self.mode = mode
-        self._entries: list[IUMEntry] = []
+        self._entries: deque[IUMEntry] = deque()
         self._next_sequence = 0
         #: Number of predictions the IUM overrode (for reporting).
         self.overrides = 0
@@ -155,32 +158,46 @@ class ImmediateUpdateMimicker:
         )
         self._next_sequence += 1
         self._entries.append(entry)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
         return entry.sequence
 
     def mark_executed(self, sequence: int, taken: bool) -> None:
         """Record the resolved direction of an in-flight branch (execute stage)."""
-        for entry in self._entries:
-            if entry.sequence == sequence:
-                entry.outcome = taken
-                entry.executed = True
-                entry.counter = clamp(
-                    entry.counter + (1 if taken else -1), entry.counter_lo, entry.counter_hi
-                )
-                return
+        entry = self._entry(sequence)
+        if entry is not None:
+            entry.outcome = taken
+            entry.executed = True
+            entry.counter = clamp(
+                entry.counter + (1 if taken else -1), entry.counter_lo, entry.counter_hi
+            )
+
+    def _entry(self, sequence: int) -> IUMEntry | None:
+        """The in-flight entry recorded as ``sequence``, if still tracked."""
+        entries = self._entries
+        if entries:
+            # Tracked sequences are consecutive while entries leave only
+            # from the front (retire) or the back (squash).
+            offset = sequence - entries[0].sequence
+            if 0 <= offset < len(entries) and entries[offset].sequence == sequence:
+                return entries[offset]
+        return next((entry for entry in entries if entry.sequence == sequence), None)
 
     def squash_after(self, sequence: int) -> None:
         """Squash every entry younger than ``sequence`` (misprediction repair)."""
-        self._entries = [entry for entry in self._entries if entry.sequence <= sequence]
+        entries = self._entries
+        while entries and entries[-1].sequence > sequence:
+            entries.pop()
 
     def release(self, sequence: int) -> None:
-        """Release the entry of a retiring branch."""
-        self._entries = [entry for entry in self._entries if entry.sequence != sequence]
+        """Release the entry of a retiring branch (the oldest one)."""
+        entries = self._entries
+        if entries and entries[0].sequence == sequence:
+            entries.popleft()
+        else:
+            self._entries = deque(entry for entry in entries if entry.sequence != sequence)
 
     def clear(self) -> None:
         """Drop every in-flight entry (pipeline flush)."""
-        self._entries = []
+        self._entries.clear()
 
     def storage_report(self) -> StorageReport:
         """Approximate hardware cost: table id + index + counter + flags per entry."""

@@ -17,6 +17,7 @@ several iterations of the same loop are simultaneously in the pipeline.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.common.bits import mask
@@ -89,14 +90,13 @@ class SpeculativeLoopIterationManager:
     Keeps the speculative iteration number of every in-flight loop branch
     so that consecutive iterations fetched before the first retires still
     see increasing counts.  Entries are squashed past a misprediction and
-    released at retirement.
+    released at retirement; branches retire in fetch order, so the
+    released entry is the oldest one.  No entry is dropped while its
+    branch is in flight, however deep the window.
     """
 
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._entries: list[_InflightIteration] = []
+    def __init__(self) -> None:
+        self._entries: deque[_InflightIteration] = deque()
         self._next_sequence = 0
 
     def __len__(self) -> int:
@@ -114,21 +114,25 @@ class SpeculativeLoopIterationManager:
         entry = _InflightIteration(self._next_sequence, set_index, tag, iteration)
         self._next_sequence += 1
         self._entries.append(entry)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
         return entry.sequence
 
     def squash_after(self, sequence: int) -> None:
         """Squash every entry younger than ``sequence`` (misprediction repair)."""
-        self._entries = [entry for entry in self._entries if entry.sequence <= sequence]
+        entries = self._entries
+        while entries and entries[-1].sequence > sequence:
+            entries.pop()
 
     def release(self, sequence: int) -> None:
-        """Release the entry of a retiring branch."""
-        self._entries = [entry for entry in self._entries if entry.sequence != sequence]
+        """Release the entry of a retiring branch (the oldest one)."""
+        entries = self._entries
+        if entries and entries[0].sequence == sequence:
+            entries.popleft()
+        else:
+            self._entries = deque(entry for entry in entries if entry.sequence != sequence)
 
     def clear(self) -> None:
         """Drop every in-flight entry."""
-        self._entries = []
+        self._entries.clear()
 
 
 class LoopPredictor:

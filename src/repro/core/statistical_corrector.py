@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import fold_bits, mask
+from repro.common.bits import mask
 from repro.common.counters import SaturatingCounter, SignedCounterTable
 from repro.common.storage import StorageReport
-from repro.histories.global_history import GlobalHistoryRegister
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
 
 __all__ = [
@@ -109,30 +108,42 @@ class _CorrectorCore:
         ]
         self.threshold = config.initial_threshold
         self._threshold_counter = SaturatingCounter(bits=7, signed=True, value=0)
+        #: Per table: (history mask, table term of the index).
+        self._index_terms = tuple(
+            (mask(length), table << 1) for table, length in enumerate(config.history_lengths)
+        )
         #: Optional bank selector for the interleaved single-ported
         #: organisation of Section 7.1 (shared with, and advanced by, the
         #: TAGE predictor).
         self.bank_selector = None
 
-    def _index(self, pc: int, table: int, history_value: int, tage_taken: bool) -> int:
-        """Hash (PC, truncated history, TAGE prediction) into a table index."""
+    def _indices(self, pc: int, history_value: int, tage_taken: bool) -> tuple[int, ...]:
+        """Hash (PC, truncated history, TAGE prediction) into every table's index.
+
+        Each table folds its ``history_lengths`` most recent history bits
+        into the index width, XOR-chunk by chunk.
+        """
         width = self.config.log2_entries
-        length = self.config.history_lengths[table]
-        history = fold_bits(history_value & mask(length), length, width) if length else 0
-        pc_hash = (pc >> 2) ^ (pc >> (2 + width))
-        index = (pc_hash ^ history ^ (table << 1) ^ (1 if tage_taken else 0)) & mask(width)
+        width_mask = mask(width)
+        base = (pc >> 2) ^ (pc >> (2 + width)) ^ (1 if tage_taken else 0)
+        indices = []
+        for history_mask, table_term in self._index_terms:
+            history = history_value & history_mask
+            folded = 0
+            while history:
+                folded ^= history & width_mask
+                history >>= width
+            indices.append((base ^ folded ^ table_term) & width_mask)
         if self.bank_selector is not None and width >= 2:
             bank = self.bank_selector.select(pc)
-            index = (index & ~(self.bank_selector.num_banks - 1)) | bank
-        return index
+            keep = ~(self.bank_selector.num_banks - 1)
+            indices = [(index & keep) | bank for index in indices]
+        return tuple(indices)
 
     def read(self, pc: int, history_value: int, tage_taken: bool, tage_centered: int) -> SCReading:
         """Compute the correction sum and the revert decision."""
-        indices = tuple(
-            self._index(pc, table, history_value, tage_taken)
-            for table in range(self.config.num_tables)
-        )
-        counters = tuple(self.tables[t][indices[t]] for t in range(self.config.num_tables))
+        indices = self._indices(pc, history_value, tage_taken)
+        counters = tuple(table[index] for table, index in zip(self.tables, indices))
         total = sum(2 * counter + 1 for counter in counters)
         # Add the TAGE confidence term, signed so that it pulls the sum
         # toward the TAGE prediction.
@@ -220,18 +231,17 @@ class StatisticalCorrector:
     def __init__(self, config: StatisticalCorrectorConfig | None = None) -> None:
         self.config = config or StatisticalCorrectorConfig()
         self._core = _CorrectorCore(self.config, "SC")
-        self._history = GlobalHistoryRegister(
-            capacity=max(64, max(self.config.history_lengths) + 8)
-        )
+        self._history_mask = mask(max(self.config.history_lengths))
+        #: The longest history any table reads, packed (newest in bit 0).
+        self._history = 0
 
     def read(self, pc: int, tage_taken: bool, tage_centered: int) -> SCReading:
         """Correct (or confirm) the TAGE prediction for ``pc``."""
-        history_value = self._history.value(max(self.config.history_lengths))
-        return self._core.read(pc, history_value, tage_taken, tage_centered)
+        return self._core.read(pc, self._history, tage_taken, tage_centered)
 
     def update_history(self, pc: int, taken: bool) -> None:
         """Advance the corrector's global history (fetch time)."""
-        self._history.push(taken)
+        self._history = ((self._history << 1) | (1 if taken else 0)) & self._history_mask
 
     def train(self, reading: SCReading, taken: bool, reread: bool = True) -> int:
         """Retire-time training; returns the number of entries written."""
@@ -250,7 +260,7 @@ class StatisticalCorrector:
     def reset(self) -> None:
         """Restore the power-on state."""
         self._core.reset()
-        self._history.clear()
+        self._history = 0
 
 
 class LocalStatisticalCorrector:

@@ -24,15 +24,15 @@ provider counter value (for the Statistical Corrector).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from operator import getitem
 
 from repro.common.bits import fold_bits, mask
 from repro.common.counters import SaturatingCounter, clamp
 from repro.common.storage import StorageReport
 from repro.core.config import TAGEConfig, make_reference_tage_config
-from repro.histories.folded import FoldedHistorySet
+from repro.histories.folded import FoldedHistoryBank
 from repro.histories.global_history import GlobalHistoryRegister, PathHistory
 from repro.predictors.base import PredictionInfo, Predictor, UpdateStats
 from repro.predictors.bimodal import BimodalPrediction, BimodalPredictor
@@ -102,6 +102,12 @@ class TAGEPredictor(Predictor):
     config:
         Predictor dimensioning; defaults to the paper's reference 64 KB
         configuration (:func:`repro.core.config.make_reference_tage_config`).
+
+    The tagged tables are ``array.array`` columns (prediction counter,
+    partial tag, useful bits), and the three folds of every tagged table
+    live in one :class:`~repro.histories.folded.FoldedHistoryBank`, so a
+    branch computes all indices and tags in one pass
+    (:meth:`_indices_tags`) and advances all folds at once.
     """
 
     def __init__(self, config: TAGEConfig | None = None) -> None:
@@ -109,6 +115,7 @@ class TAGEPredictor(Predictor):
         cfg = self.config
         self.name = f"tage-{cfg.num_components}comp-{cfg.storage_kbits:.0f}Kbits"
         self.num_tables = cfg.num_tagged_tables
+        tables = range(self.num_tables)
 
         self.base = BimodalPredictor(
             entries=1 << cfg.bimodal_log2_entries,
@@ -117,25 +124,24 @@ class TAGEPredictor(Predictor):
         self._ctr_lo = -(1 << (cfg.counter_bits - 1))
         self._ctr_hi = (1 << (cfg.counter_bits - 1)) - 1
         self._u_max = (1 << cfg.useful_bits) - 1
-        self._ctr: list[np.ndarray] = []
-        self._tags: list[np.ndarray] = []
-        self._useful: list[np.ndarray] = []
-        for table in range(self.num_tables):
-            entries = 1 << cfg.table_log2_entries[table]
-            self._ctr.append(np.zeros(entries, dtype=np.int8))
-            self._tags.append(np.zeros(entries, dtype=np.int32))
-            self._useful.append(np.zeros(entries, dtype=np.int8))
+        sizes = [1 << cfg.table_log2_entries[table] for table in tables]
+        self._ctr = [_zeros(_typecode(cfg.counter_bits, signed=True), n) for n in sizes]
+        self._tags = [_zeros("i", n) for n in sizes]
+        self._useful = [_zeros(_typecode(cfg.useful_bits, signed=False), n) for n in sizes]
 
         self.history = GlobalHistoryRegister(capacity=max(64, cfg.max_history + 8))
         self.path_history = PathHistory(width=cfg.path_history_bits)
-        self._folds = [
-            FoldedHistorySet(
-                history_length=cfg.history_lengths[table],
-                index_width=cfg.table_log2_entries[table],
-                tag_width=cfg.tag_widths[table],
-            )
-            for table in range(self.num_tables)
-        ]
+        # Lanes 0..M-1 hold the index folds, M..2M-1 tag CSR1 and 2M..3M-1
+        # tag CSR2 (one bit narrower, so the tag is not a rotation of the
+        # index), as the released TAGE simulators keep them.
+        lengths = cfg.history_lengths
+        self._folds = FoldedHistoryBank(
+            [(lengths[t], cfg.table_log2_entries[t]) for t in tables]
+            + [(lengths[t], cfg.tag_widths[t]) for t in tables]
+            + [(lengths[t], max(1, cfg.tag_widths[t] - 1)) for t in tables]
+        )
+        self._hash_constants()
+        self._path_luts = self._path_mix_tables()
 
         #: Optional bank selector modelling the 4-way interleaved
         #: single-ported organisation of Section 4.3.  When set, the low
@@ -157,47 +163,105 @@ class TAGEPredictor(Predictor):
 
     # -- index and tag computation -------------------------------------------
 
-    def _path_mix(self, table: int, width: int) -> int:
-        """Fold the path history into ``width`` bits, varied per table."""
-        length = min(self.config.history_lengths[table], self.config.path_history_bits)
-        path_bits = self.path_history.value & mask(length)
-        folded = fold_bits(path_bits, length, width)
-        rotation = table % width
-        if rotation:
-            folded = ((folded << rotation) | (folded >> (width - rotation))) & mask(width)
-        return folded
+    def _hash_constants(self) -> None:
+        """Per-table constants of :meth:`_indices_tags`, in the bank's slot layout.
 
-    def table_index(self, pc: int, table: int) -> int:
-        """Index of ``pc`` in tagged table ``table`` (0-based) right now."""
-        width = self.config.table_log2_entries[table]
-        fold = self._folds[table].index_fold.value
-        pc_hash = (pc >> 2) ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))
-        index = (pc_hash ^ fold ^ self._path_mix(table, width)) & mask(width)
-        if self.bank_selector is not None and width >= 2:
-            bank = self.bank_selector.select(pc)
-            index = (index & ~(self.bank_selector.num_banks - 1)) | bank
-        return index
+        The index of table ``t`` and its partial tag are computed in lanes
+        ``t`` and ``M + t`` of one integer: the folds are already there,
+        and each other term of the hash is placed in every slot at once.
+        """
+        cfg = self.config
+        slot_bits = self._folds.slot_bits
+        tables = range(self.num_tables)
+        self._slot_mask = mask(slot_bits)
+        spreads: dict[int, int] = {}
+        for table in tables:
+            width = cfg.table_log2_entries[table]
+            spreads[width] = spreads.get(width, 0) | 1 << (table * slot_bits)
+        #: Per distinct index width: (PC-hash shifts, slots of that width).
+        self._index_spreads = tuple(
+            (2 + width, 2 + 2 * width, spread) for width, spread in sorted(spreads.items())
+        )
+        #: Slots of the tables whose low index bits name the bank when interleaved.
+        self._bank_spread = sum(
+            1 << (table * slot_bits) for table in tables if cfg.table_log2_entries[table] >= 2
+        )
+        #: Tag CSR2 lanes sit M slots above the tag CSR1 lanes.
+        self._tag_fold_2_shift = self.num_tables * slot_bits
+        self._tag_spread = self._folds.pack([0] * self.num_tables + [1] * self.num_tables)
+        self._tag_slots = self._tag_spread * self._slot_mask
+        self._lane_masks = self._folds.pack(
+            [mask(cfg.table_log2_entries[t]) for t in tables] + [mask(cfg.tag_widths[t]) for t in tables]
+        )
 
-    def table_tag(self, pc: int, table: int) -> int:
-        """Partial tag of ``pc`` for tagged table ``table`` (0-based) right now."""
-        width = self.config.tag_widths[table]
-        folds = self._folds[table]
-        return ((pc >> 2) ^ folds.tag_fold_1.value ^ (folds.tag_fold_2.value << 1)) & mask(width)
+    def _path_mix_tables(self) -> tuple[list[int], ...]:
+        """Lookup tables of the path-history term of every index, per path byte.
+
+        Each table folds the path history into its index width and rotates
+        it by ``table % width`` so the tables see the path differently.
+        That term is XOR-linear in the path bits, so it is tabulated once
+        per path byte, in the fold bank's slot layout: XORing one entry per
+        byte gives the term of every table at its index lane.
+        """
+        cfg = self.config
+
+        def term(table: int, path: int) -> int:
+            width = cfg.table_log2_entries[table]
+            length = min(cfg.history_lengths[table], cfg.path_history_bits)
+            folded = fold_bits(path & mask(length), length, width)
+            rotation = table % width
+            if rotation:
+                folded = ((folded << rotation) | (folded >> (width - rotation))) & mask(width)
+            return folded
+
+        luts = []
+        for low in range(0, cfg.path_history_bits, 8):
+            lut = [0]
+            for bit in range(low, min(low + 8, cfg.path_history_bits)):
+                packed = self._folds.pack([term(t, 1 << bit) for t in range(self.num_tables)])
+                lut += [entry ^ packed for entry in lut]
+            luts.append(lut)
+        return tuple(luts)
+
+    def _indices_tags(self, pc: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Index and partial tag of ``pc`` in every tagged table, right now.
+
+        Table ``t``'s index is ``(pc_hash ^ index_fold ^ path_mix) & mask(W)``
+        and its tag ``((pc >> 2) ^ tag_fold_1 ^ (tag_fold_2 << 1)) &
+        mask(tag_width)``.  All of them are computed side by side in the
+        fold bank's lanes and unpacked in one step.  With a bank selector
+        the low index bits name the bank chosen for this branch.
+        """
+        value = self._folds.value
+        slot_mask = self._slot_mask
+        pc_bits = pc >> 2
+        mix = (((value >> self._tag_fold_2_shift) << 1) & self._tag_slots) ^ (
+            (pc_bits & slot_mask) * self._tag_spread
+        )
+        for shift_1, shift_2, spread in self._index_spreads:
+            mix ^= ((pc_bits ^ (pc >> shift_1) ^ (pc >> shift_2)) & slot_mask) * spread
+        path = self.path_history.value
+        for lut in self._path_luts:
+            mix ^= lut[path & 0xFF]
+            path >>= 8
+        packed = (value ^ mix) & self._lane_masks
+        selector = self.bank_selector
+        if selector is not None:
+            spread = self._bank_spread
+            packed &= ~((selector.num_banks - 1) * spread)
+            packed |= selector.select(pc) * spread
+        lanes = self._folds.unpack(packed)
+        tables = self.num_tables
+        return tuple(lanes[:tables]), tuple(lanes[tables : 2 * tables])
 
     # -- Predictor interface -------------------------------------------------
 
     def predict(self, pc: int) -> TAGEPrediction:
         base_info = self.base.predict(pc)
 
-        indices = tuple(self.table_index(pc, table) for table in range(self.num_tables))
-        tags = tuple(self.table_tag(pc, table) for table in range(self.num_tables))
-        useful = tuple(int(self._useful[table][indices[table]]) for table in range(self.num_tables))
-
-        hits = [
-            table
-            for table in range(self.num_tables)
-            if int(self._tags[table][indices[table]]) == tags[table]
-        ]
+        indices, tags = self._indices_tags(pc)
+        useful = tuple(map(getitem, self._useful, indices))
+        stored = tuple(map(getitem, self._tags, indices))
 
         provider_table = 0
         provider_index = 0
@@ -208,18 +272,24 @@ class TAGEPredictor(Predictor):
         alt_index = 0
         alt_taken = base_info.taken
 
-        if hits:
-            provider = hits[-1]
-            provider_table = provider + 1
-            provider_index = indices[provider]
-            provider_ctr = int(self._ctr[provider][provider_index])
+        # The provider is the hitting table with the longest history; the
+        # alternate is the next hitting one below it.
+        table = self.num_tables - 1
+        while table >= 0 and stored[table] != tags[table]:
+            table -= 1
+        if table >= 0:
+            provider_table = table + 1
+            provider_index = indices[table]
+            provider_ctr = self._ctr[table][provider_index]
             provider_taken = provider_ctr >= 0
             weak_provider = provider_ctr in (-1, 0)
-            if len(hits) > 1:
-                alternate = hits[-2]
-                alt_table = alternate + 1
-                alt_index = indices[alternate]
-                alt_taken = int(self._ctr[alternate][alt_index]) >= 0
+            table -= 1
+            while table >= 0 and stored[table] != tags[table]:
+                table -= 1
+            if table >= 0:
+                alt_table = table + 1
+                alt_index = indices[table]
+                alt_taken = self._ctr[table][alt_index] >= 0
 
         if provider_table > 0:
             if weak_provider and self.use_alt_on_na.value >= 0:
@@ -249,11 +319,7 @@ class TAGEPredictor(Predictor):
         )
 
     def update_history(self, pc: int, taken: bool, info: PredictionInfo) -> None:
-        new_bit = 1 if taken else 0
-        for table in range(self.num_tables):
-            length = self.config.history_lengths[table]
-            dropped = self.history.bit(length - 1) if length - 1 < len(self.history) else 0
-            self._folds[table].update(new_bit, dropped)
+        self._folds.update(taken)
         self.history.push(taken)
         self.path_history.push(pc)
         if self.bank_selector is not None:
@@ -298,21 +364,22 @@ class TAGEPredictor(Predictor):
         """Update the provider entry's prediction counter and useful bit."""
         table = info.provider_table - 1
         index = info.provider_index
+        counters = self._ctr[table]
         if reread:
-            ctr = int(self._ctr[table][index])
+            ctr = counters[index]
             stats.entry_reads += 1
         else:
             ctr = info.provider_ctr
         new_ctr = clamp(ctr + (1 if taken else -1), self._ctr_lo, self._ctr_hi)
-        if new_ctr != int(self._ctr[table][index]):
-            self._ctr[table][index] = new_ctr
+        if new_ctr != counters[index]:
+            counters[index] = new_ctr
             stats.entry_writes += 1
             stats.tables_written += 1
 
         # The useful bit is set when the provider was correct while the
         # alternate prediction was wrong (Section 3.2.2).
         if info.provider_taken != info.alt_taken and info.provider_taken == taken:
-            if int(self._useful[table][index]) != self._u_max:
+            if self._useful[table][index] != self._u_max:
                 self._useful[table][index] = self._u_max
                 stats.entry_writes += 1
 
@@ -326,7 +393,7 @@ class TAGEPredictor(Predictor):
         while table < self.num_tables and allocated < cfg.max_allocations:
             index = info.indices[table]
             if reread:
-                useful = int(self._useful[table][index])
+                useful = self._useful[table][index]
                 stats.entry_reads += 1
             else:
                 useful = info.useful_snapshot[table]
@@ -351,7 +418,7 @@ class TAGEPredictor(Predictor):
     def _reset_useful_bits(self) -> None:
         """Global reset of every useful bit (allocation-failure saturation)."""
         for useful in self._useful:
-            useful.fill(0)
+            useful[:] = _zeros(useful.typecode, len(useful))
         self.useful_resets += 1
 
     # -- reporting ------------------------------------------------------------
@@ -375,19 +442,29 @@ class TAGEPredictor(Predictor):
     def reset(self) -> None:
         """Restore the power-on state."""
         self.base.reset()
-        for table in range(self.num_tables):
-            self._ctr[table].fill(0)
-            self._tags[table].fill(0)
-            self._useful[table].fill(0)
+        for column in (*self._ctr, *self._tags, *self._useful):
+            column[:] = _zeros(column.typecode, len(column))
         self.history.clear()
         self.path_history.clear()
-        for fold in self._folds:
-            fold.clear()
+        self._folds.clear()
         self.use_alt_on_na.set(0)
         self.allocation_tick.set(0)
         self.useful_resets = 0
         if self.bank_selector is not None:
             self.bank_selector.reset()
+
+
+def _typecode(bits: int, signed: bool) -> str:
+    """The narrowest ``array`` typecode holding ``bits``-bit counters."""
+    for code in ("b", "h", "i", "q") if signed else ("B", "H", "I", "Q"):
+        if bits <= 8 * array(code).itemsize:
+            return code
+    raise ValueError(f"{bits}-bit counters do not fit a 64-bit array element")
+
+
+def _zeros(typecode: str, entries: int) -> array:
+    """A zero-filled ``array`` of ``entries`` elements."""
+    return array(typecode, bytes(array(typecode).itemsize * entries))
 
 
 def make_reference_tage() -> TAGEPredictor:

@@ -10,7 +10,9 @@ paper reads:
   history that TAGE mixes into its index functions,
 * :class:`~repro.histories.folded.FoldedHistory` — the incrementally
   maintained "circular shift register" folds used to hash very long
-  histories into table indices and tags,
+  histories into table indices and tags, and
+  :class:`~repro.histories.folded.FoldedHistoryBank`, which packs all of
+  a predictor's folds into one integer and advances them together,
 * :func:`~repro.histories.geometric.geometric_series` — the geometric
   history-length series L(i) introduced with O-GEHL,
 * :class:`~repro.histories.local.LocalHistoryTable` and
@@ -18,14 +20,14 @@ paper reads:
   per-branch local histories used by the LSC predictor (Section 6).
 """
 
-from repro.histories.folded import FoldedHistory, FoldedHistorySet
+from repro.histories.folded import FoldedHistory, FoldedHistoryBank
 from repro.histories.geometric import geometric_series
 from repro.histories.global_history import GlobalHistoryRegister, PathHistory
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
 
 __all__ = [
     "FoldedHistory",
-    "FoldedHistorySet",
+    "FoldedHistoryBank",
     "GlobalHistoryRegister",
     "LocalHistoryTable",
     "PathHistory",

@@ -16,6 +16,7 @@ by *local* history (the LSC predictor).  Two structures are needed:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.common.bits import mask
@@ -96,15 +97,13 @@ class SpeculativeLocalHistoryManager:
     table entry provides the speculative history; otherwise the retired
     history from the :class:`LocalHistoryTable` is used.  On a
     misprediction all younger entries are squashed; on retirement the
-    oldest entry is released.
+    oldest entry is released.  No entry is dropped while its branch is in
+    flight, however deep the window.
     """
 
-    def __init__(self, local_table: LocalHistoryTable, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
+    def __init__(self, local_table: LocalHistoryTable) -> None:
         self.local_table = local_table
-        self.capacity = capacity
-        self._entries: list[_InflightLocalEntry] = []
+        self._entries: deque[_InflightLocalEntry] = deque()
         self._next_sequence = 0
 
     def __len__(self) -> int:
@@ -142,8 +141,6 @@ class SpeculativeLocalHistoryManager:
         )
         self._next_sequence += 1
         self._entries.append(entry)
-        if len(self._entries) > self.capacity:
-            self._entries.pop(0)
         return entry.sequence
 
     def repair(self, sequence: int, actual_taken: bool) -> None:
@@ -153,18 +150,26 @@ class SpeculativeLocalHistoryManager:
         wrong path) and the mispredicted branch's own speculative history
         is rewritten with the corrected direction.
         """
-        self._entries = [entry for entry in self._entries if entry.sequence <= sequence]
-        for entry in self._entries:
-            if entry.sequence == sequence:
-                corrected = (entry.speculative_history >> 1) << 1 | (1 if actual_taken else 0)
-                entry.speculative_history = corrected & mask(self.local_table.history_bits)
-                break
+        entries = self._entries
+        while entries and entries[-1].sequence > sequence:
+            entries.pop()
+        if entries and entries[-1].sequence == sequence:
+            entry = entries[-1]
+            corrected = (entry.speculative_history >> 1) << 1 | (1 if actual_taken else 0)
+            entry.speculative_history = corrected & mask(self.local_table.history_bits)
 
     def retire(self, sequence: int, pc: int, taken: bool) -> None:
-        """Retire the branch with ``sequence``: commit its outcome and free its entry."""
+        """Retire the branch with ``sequence``: commit its outcome and free its entry.
+
+        Branches retire in fetch order, so the entry is the oldest one.
+        """
         self.local_table.update(pc, taken)
-        self._entries = [entry for entry in self._entries if entry.sequence != sequence]
+        entries = self._entries
+        if entries and entries[0].sequence == sequence:
+            entries.popleft()
+        else:
+            self._entries = deque(entry for entry in entries if entry.sequence != sequence)
 
     def clear(self) -> None:
         """Drop every in-flight entry (e.g. on a pipeline flush)."""
-        self._entries = []
+        self._entries.clear()

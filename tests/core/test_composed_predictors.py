@@ -130,3 +130,35 @@ class TestRetireReadScope:
         result = simulate_delayed(predictor, tiny_trace, UpdateScenario.REREAD_ON_MISPREDICTION)
         assert result.branches == len(tiny_trace)
         assert 0 < result.mispredictions < result.branches
+
+
+class TestDeepWindows:
+    """In-flight trackers must hold every branch of a window deeper than 256."""
+
+    @pytest.mark.parametrize("kind", ["isl-tage", "tage-lsc"])
+    def test_no_release_is_lost_at_retire_delay_300(self, kind):
+        from repro.pipeline.engine import SimulationEngine
+        from repro.predictors.registry import PredictorSpec
+        from repro.traces.suite import generate_trace
+
+        predictor = PredictorSpec(kind, {}).build()
+        engine = SimulationEngine(
+            predictor, UpdateScenario.REREAD_ON_MISPREDICTION, PipelineConfig(retire_delay=300)
+        )
+        trace = generate_trace("INT01", branches_per_trace=1500, seed=2011)
+        engine.start()
+        deepest = 0
+        for record in trace:
+            engine.feed([record])
+            window = [entry[1] for entry in engine.export_state()]
+            deepest = max(deepest, len(window))
+            # Every in-flight branch still owns its IUM, SLIM and local
+            # history entries; each leaves only when that branch retires.
+            assert len(predictor.ium) == len(window)
+            if predictor.loop is not None:
+                assert len(predictor.loop.slim) == sum(info.loop_sequence >= 0 for info in window)
+            if predictor.lsc is not None:
+                assert len(predictor.lsc.speculative_manager) == len(window)
+        engine.drain_window()
+        assert deepest == 300
+        assert len(predictor.ium) == 0

@@ -158,11 +158,14 @@ class TestImmediateUpdateMimicker:
         ium.squash_after(first)
         assert ium.lookup(1, 2) is None
 
-    def test_capacity_bound(self):
+    def test_deep_window_keeps_every_inflight_entry(self):
         ium = ImmediateUpdateMimicker(capacity=3)
-        for _ in range(10):
-            ium.record(0, 0, counter=0, counter_lo=-4, counter_hi=3)
-        assert len(ium) == 3
+        sequences = [ium.record(0, 0, counter=0, counter_lo=-4, counter_hi=3) for _ in range(10)]
+        assert len(ium) == 10  # capacity sizes the storage report, it never evicts
+        ium.mark_executed(sequences[0], True)
+        ium.release(sequences[0])
+        assert len(ium) == 9
+        assert ium.lookup(0, 0) is None  # the one executed entry has retired
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):

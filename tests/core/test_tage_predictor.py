@@ -1,10 +1,17 @@
 """Behavioural tests for the TAGE predictor itself."""
 
+import random
 
+import pytest
+
+from repro.common.bits import fold_bits, mask
 from repro.core.config import TAGEConfig
 from repro.core.tage import TAGEPredictor, make_reference_tage
+from repro.histories.folded import FoldedHistory
 from repro.pipeline.simulator import simulate
 from repro.predictors.bimodal import BimodalPredictor
+from repro.predictors.registry import PredictorSpec
+from repro.traces.suite import generate_trace
 
 
 def small_tage() -> TAGEPredictor:
@@ -77,14 +84,14 @@ class TestAllocation:
             predictor.update_history(pc, True, info)
             predictor.update(pc, True, info)
         info = predictor.predict(pc)
-        before = [int(predictor._tags[t][info.indices[t]]) for t in range(predictor.num_tables)]
+        before = [predictor._tags[t][info.indices[t]] for t in range(predictor.num_tables)]
         predictor.update(pc, False, info)
         written = [
             t for t in range(predictor.num_tables)
-            if int(predictor._tags[t][info.indices[t]]) != before[t]
-            or int(predictor._ctr[t][info.indices[t]]) != 0
+            if predictor._tags[t][info.indices[t]] != before[t]
+            or predictor._ctr[t][info.indices[t]] != 0
         ]
-        allocated = [t for t in written if int(predictor._tags[t][info.indices[t]]) == info.tags[t]]
+        allocated = [t for t in written if predictor._tags[t][info.indices[t]] == info.tags[t]]
         assert all(b - a >= 2 for a, b in zip(allocated, allocated[1:]))
 
     def test_useful_reset_eventually_triggers(self):
@@ -92,7 +99,8 @@ class TestAllocation:
         predictor = small_tage()
         # Mark every entry of every table useful so allocations always fail.
         for useful in predictor._useful:
-            useful.fill(1)
+            for index in range(len(useful)):
+                useful[index] = 1
         predictor.allocation_tick.set(predictor.allocation_tick.hi - 1)
         pc = 0x4800
         for _ in range(4):
@@ -102,7 +110,7 @@ class TestAllocation:
         info = predictor.predict(pc)
         predictor.update(pc, False, info)
         assert predictor.useful_resets >= 1
-        assert all(int(useful.sum()) == 0 for useful in predictor._useful)
+        assert all(sum(useful) == 0 for useful in predictor._useful)
 
 
 class TestAccuracy:
@@ -160,5 +168,68 @@ class TestUpdateScenarioSupport:
             predictor.update(pc, False, info)
         predictor.reset()
         assert predictor.use_alt_on_na.value == 0
-        assert all(int(ctr.sum()) == 0 for ctr in predictor._ctr)
+        assert all(sum(ctr) == 0 for ctr in predictor._ctr)
         assert len(predictor.history) == 0
+
+
+def reference_indices_tags(tage: TAGEPredictor, pc: int) -> tuple[tuple, tuple]:
+    """Indices and tags rebuilt table by table from the live registers.
+
+    Every fold is recomputed from scratch from the global history
+    (:meth:`FoldedHistory.recompute`) and the path term from the path
+    history with :func:`fold_bits`: the per-table formulas the fused pass
+    must reproduce.
+    """
+    cfg = tage.config
+    indices, tags = [], []
+    for table in range(tage.num_tables):
+        width = cfg.table_log2_entries[table]
+        tag_width = cfg.tag_widths[table]
+        length = cfg.history_lengths[table]
+        index_fold = FoldedHistory(length, width).recompute(tage.history)
+        tag_fold_1 = FoldedHistory(length, tag_width).recompute(tage.history)
+        tag_fold_2 = FoldedHistory(length, max(1, tag_width - 1)).recompute(tage.history)
+        path_length = min(length, cfg.path_history_bits)
+        path = fold_bits(tage.path_history.value & mask(path_length), path_length, width)
+        rotation = table % width
+        if rotation:
+            path = ((path << rotation) | (path >> (width - rotation))) & mask(width)
+        pc_hash = (pc >> 2) ^ (pc >> (2 + width)) ^ (pc >> (2 + 2 * width))
+        index = (pc_hash ^ index_fold ^ path) & mask(width)
+        selector = tage.bank_selector
+        if selector is not None and width >= 2:
+            index = (index & ~(selector.num_banks - 1)) | selector.select(pc)
+        indices.append(index)
+        tags.append(((pc >> 2) ^ tag_fold_1 ^ (tag_fold_2 << 1)) & mask(tag_width))
+    return tuple(indices), tuple(tags)
+
+
+def random_pc_stream(count: int, seed: int) -> list[tuple[int, bool]]:
+    """Branches at arbitrary (odd and even) addresses.
+
+    Suite PCs are 4-byte aligned, so the one path bit each branch pushes
+    is always 0 on suite traces; odd addresses exercise the path term.
+    """
+    rng = random.Random(seed)
+    return [(rng.randrange(1 << 24), rng.random() < 0.6) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "build, branches",
+    [
+        (small_tage, 600),
+        (PredictorSpec("isl-tage", {"interleaved": True}).build, 300),
+    ],
+    ids=["tage", "isl-tage-interleaved"],
+)
+def test_fused_pass_matches_per_table_recompute(build, branches):
+    """The one-pass indices and tags equal the per-table reference at every branch."""
+    predictor = build()
+    tage = getattr(predictor, "tage", predictor)
+    trace = generate_trace("INT02", branches_per_trace=branches, seed=2011)
+    stream = [(record.pc, record.taken) for record in trace] + random_pc_stream(200, seed=5)
+    for pc, taken in stream:
+        assert tage._indices_tags(pc) == reference_indices_tags(tage, pc)
+        info = predictor.predict(pc)
+        predictor.update_history(pc, taken, info)
+        predictor.update(pc, taken, info)

@@ -81,12 +81,15 @@ class TestSpeculativeLocalHistoryManager:
         table.update(pc, False)
         assert manager.speculative_history(pc) == table.read(pc)
 
-    def test_capacity_bound(self):
-        table = LocalHistoryTable(entries=32)
-        manager = SpeculativeLocalHistoryManager(table, capacity=4)
-        for _ in range(10):
-            manager.record(0x4000, True)
-        assert len(manager) == 4
+    def test_deep_window_keeps_every_inflight_entry(self):
+        table = LocalHistoryTable(entries=32, history_bits=300)
+        manager = SpeculativeLocalHistoryManager(table)
+        sequences = [manager.record(0x4000, True) for _ in range(300)]
+        assert len(manager) == 300
+        assert manager.speculative_history(0x4000) == (1 << 300) - 1
+        manager.retire(sequences[0], 0x4000, True)
+        assert len(manager) == 299
+        assert table.read(0x4000) == 1
 
     def test_clear(self):
         table, manager = self.make()

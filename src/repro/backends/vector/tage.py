@@ -94,6 +94,7 @@ class _StreamTAGE(TAGEPredictor):
         tag_streams: list[list[int]],
     ) -> None:
         super().__init__(config)
+        #: Per branch: (indices, tags), as ``_indices_tags`` returns them.
         self._streams = list(zip(zip(*index_streams), zip(*tag_streams)))
         self._cursor = 0
 
@@ -153,8 +154,7 @@ def run_tage_lanes(
     """
     results = []
     for lane in lanes:
-        index_streams, tag_streams = _streams_for(lane.kernel, lane.streams)
-        predictor = _StreamTAGE(lane.kernel.config, index_streams, tag_streams)
+        predictor = _StreamTAGE(lane.kernel.config, *_streams_for(lane.kernel, lane.streams))
         engine = SimulationEngine(predictor, scenario, config)
         results.append(engine.run(lane.streams.trace))
     return results

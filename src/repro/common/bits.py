@@ -47,9 +47,10 @@ def fold_bits(value: int, input_width: int, output_width: int) -> int:
     if output_width <= 0:
         raise ValueError("output_width must be positive")
     value &= mask(input_width)
+    chunk = mask(output_width)
     folded = 0
     while value:
-        folded ^= value & mask(output_width)
+        folded ^= value & chunk
         value >>= output_width
     return folded
 

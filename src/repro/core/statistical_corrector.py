@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import mask
+from repro.common.bits import fold_bits, mask
 from repro.common.counters import SaturatingCounter, SignedCounterTable
 from repro.common.storage import StorageReport
 from repro.histories.local import LocalHistoryTable, SpeculativeLocalHistoryManager
@@ -108,9 +108,9 @@ class _CorrectorCore:
         ]
         self.threshold = config.initial_threshold
         self._threshold_counter = SaturatingCounter(bits=7, signed=True, value=0)
-        #: Per table: (history mask, table term of the index).
+        #: Per table: (history length, table term of the index).
         self._index_terms = tuple(
-            (mask(length), table << 1) for table, length in enumerate(config.history_lengths)
+            (length, table << 1) for table, length in enumerate(config.history_lengths)
         )
         #: Optional bank selector for the interleaved single-ported
         #: organisation of Section 7.1 (shared with, and advanced by, the
@@ -118,22 +118,14 @@ class _CorrectorCore:
         self.bank_selector = None
 
     def _indices(self, pc: int, history_value: int, tage_taken: bool) -> tuple[int, ...]:
-        """Hash (PC, truncated history, TAGE prediction) into every table's index.
-
-        Each table folds its ``history_lengths`` most recent history bits
-        into the index width, XOR-chunk by chunk.
-        """
+        """Hash (PC, truncated history, TAGE prediction) into every table's index."""
         width = self.config.log2_entries
         width_mask = mask(width)
         base = (pc >> 2) ^ (pc >> (2 + width)) ^ (1 if tage_taken else 0)
-        indices = []
-        for history_mask, table_term in self._index_terms:
-            history = history_value & history_mask
-            folded = 0
-            while history:
-                folded ^= history & width_mask
-                history >>= width
-            indices.append((base ^ folded ^ table_term) & width_mask)
+        indices = [
+            (base ^ fold_bits(history_value, length, width) ^ table_term) & width_mask
+            for length, table_term in self._index_terms
+        ]
         if self.bank_selector is not None and width >= 2:
             bank = self.bank_selector.select(pc)
             keep = ~(self.bank_selector.num_banks - 1)

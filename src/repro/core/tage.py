@@ -191,7 +191,8 @@ class TAGEPredictor(Predictor):
         self._tag_spread = self._folds.pack([0] * self.num_tables + [1] * self.num_tables)
         self._tag_slots = self._tag_spread * self._slot_mask
         self._lane_masks = self._folds.pack(
-            [mask(cfg.table_log2_entries[t]) for t in tables] + [mask(cfg.tag_widths[t]) for t in tables]
+            [mask(cfg.table_log2_entries[t]) for t in tables]
+            + [mask(cfg.tag_widths[t]) for t in tables]
         )
 
     def _path_mix_tables(self) -> tuple[list[int], ...]:
@@ -235,9 +236,8 @@ class TAGEPredictor(Predictor):
         value = self._folds.value
         slot_mask = self._slot_mask
         pc_bits = pc >> 2
-        mix = (((value >> self._tag_fold_2_shift) << 1) & self._tag_slots) ^ (
-            (pc_bits & slot_mask) * self._tag_spread
-        )
+        mix = ((value >> self._tag_fold_2_shift) << 1) & self._tag_slots
+        mix ^= (pc_bits & slot_mask) * self._tag_spread
         for shift_1, shift_2, spread in self._index_spreads:
             mix ^= ((pc_bits ^ (pc >> shift_1) ^ (pc >> shift_2)) & slot_mask) * spread
         path = self.path_history.value

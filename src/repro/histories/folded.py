@@ -128,13 +128,6 @@ class FoldedHistory:
         self.value = 0
 
 
-#: (slot width in bits, array typecode) candidates, narrowest first.
-_SLOTS = tuple(
-    (bits, code) for bits, code in ((8, "B"), (16, "H"), (32, "I"), (32, "L"), (64, "Q"))
-    if array(code).itemsize * 8 == bits
-)
-
-
 class FoldedHistoryBank:
     """Many folded histories of one direction stream, packed into one integer.
 
@@ -160,11 +153,15 @@ class FoldedHistoryBank:
             if width < 1:
                 raise ValueError("compressed_length must be positive")
         widest = max(width for _, width in folds)
-        slot = next((slot for slot in _SLOTS if widest < slot[0]), None)
-        if slot is None:
+        # The narrowest unsigned array element wider than every fold.
+        for typecode in "BHILQ":
+            if widest < 8 * array(typecode).itemsize:
+                break
+        else:
             raise ValueError(f"fold width {widest} does not fit a 64-bit lane")
         self.folds = folds
-        self.slot_bits, self._typecode = slot
+        self._typecode = typecode
+        self.slot_bits = 8 * array(typecode).itemsize
         self._bytes = len(folds) * self.slot_bits // 8
         insert = 0
         drops: dict[int, int] = {}
@@ -184,9 +181,6 @@ class FoldedHistoryBank:
         self.value = 0
         #: The last ``max(history_length)`` inserted bits, newest in bit 0.
         self.history = 0
-
-    def __len__(self) -> int:
-        return len(self.folds)
 
     def update(self, taken: bool) -> None:
         """Advance every lane by one branch of direction ``taken``."""

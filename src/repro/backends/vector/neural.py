@@ -15,7 +15,7 @@ Two facts make the fetch side fully precomputable:
   decoded trace (perceptron), and
 * GEHL's folded-history table indices are XOR-linear in the outcome
   bits, so every table's index stream comes out of
-  :func:`~repro.backends.vector.streams.folded_stream` before the loop
+  :func:`~repro.backends.vector.streams.folded_streams` before the loop
   starts.
 
 The update reproduces the interpreter bit for bit: the threshold gate
@@ -294,8 +294,9 @@ def _gehl_index_streams(kernel: GEHLKernel, streams: TraceStreams) -> list[np.nd
     pcs = streams.arrays.pcs
     pc_hash = (pcs >> 2) ^ (pcs >> (2 + width))
     indices = [pc_hash & mask(width)]
-    for table in range(1, config.num_tables):
-        fold = streams.fold(config.history_lengths[table], width)
+    tables = range(1, config.num_tables)
+    folds = streams.folds([(config.history_lengths[table], width) for table in tables])
+    for table, fold in zip(tables, folds):
         shift = width - table % width or 1
         indices.append((pc_hash ^ fold ^ (fold >> shift)) & mask(width))
     return indices

@@ -9,35 +9,36 @@ per-branch value stream can be computed up front with array passes:
   :meth:`~repro.histories.global_history.GlobalHistoryRegister.value`
   and :class:`~repro.histories.global_history.PathHistory` hold.  One
   convolution per window width.
-* **folded (CSR) histories** (:func:`folded_stream`): the incremental
-  fold recurrence of :class:`~repro.histories.folded.FoldedHistory` is
-  XOR-linear, so bit ``p`` of the fold before branch ``t`` is the XOR of
-  the outcome bits at ages ``p, p + clen, p + 2*clen, ...`` inside the
-  window.  Strided prefix-XOR arrays turn each of those sums into two
-  lookups, giving the fold stream of every (history length, compressed
-  length) pair in ``O(clen * T)``.
+* **folded (CSR) histories** (:func:`folded_streams`): one
+  :class:`~repro.histories.folded.FoldedHistoryBank` pass over the
+  outcomes records the value of every requested (history length,
+  compressed length) fold before each branch — a few big-integer
+  operations per branch for all folds together.
 * **chunked XOR folds** (:func:`fold_bits_stream`): the vectorised twin
   of :func:`repro.common.bits.fold_bits`, used for the TAGE path-history
   mix.
 
 A :class:`StreamCache` memoises the streams per trace within one backend
-call, so a fig9-style sweep shares one fold pass per distinct (length,
-width) pair however many configuration variants read it.
+call, so a fig9-style sweep computes each distinct (length, width) fold
+once however many configuration variants read it.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.common.bits import mask
 from repro.hardware.access_counter import AccessProfile
+from repro.histories.folded import FoldedHistoryBank
 from repro.traces.trace import Trace, TraceArrays
 
 __all__ = [
     "StreamCache",
     "TraceStreams",
     "fold_bits_stream",
-    "folded_stream",
+    "folded_streams",
     "make_profile",
     "pack_stream",
     "plain_int",
@@ -95,39 +96,24 @@ def pack_stream(bits: np.ndarray, width: int) -> np.ndarray:
     return values
 
 
-def folded_stream(outcomes: np.ndarray, history_length: int, compressed_length: int) -> np.ndarray:
-    """The :class:`~repro.histories.folded.FoldedHistory` value before each branch.
+def folded_streams(outcomes: np.ndarray, folds: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The :class:`~repro.histories.folded.FoldedHistory` values before each branch.
 
-    ``out[t]`` equals the CSR state after feeding ``outcomes[:t]`` through
-    the incremental update — equivalently ``recompute`` over the last
-    ``min(history_length, t)`` outcomes: bit ``p`` of the fold is the XOR
-    of the outcome bits at ages ``p mod clen`` inside the window.  Each
-    residue class is a strided prefix-XOR, so every bit position costs
-    two gathers over the precomputed prefix array.
+    Column ``i`` of the ``(branches, len(folds))`` result holds, at row
+    ``t``, the value of ``FoldedHistory(*folds[i])`` after feeding
+    ``outcomes[:t]`` through its incremental update.  One
+    :class:`~repro.histories.folded.FoldedHistoryBank` pass advances
+    every fold together, so the cost is one bank update per branch
+    however many folds are asked for.
     """
-    total = outcomes.size
-    out = np.zeros(total, dtype=np.int64)
-    if total == 0:
-        return out
-    clen = compressed_length
-    bits = outcomes.astype(np.int64)
-    prefix = np.empty(total, dtype=np.int64)
-    for residue in range(min(clen, total)):
-        prefix[residue::clen] = np.bitwise_xor.accumulate(bits[residue::clen])
-    steps = np.arange(total, dtype=np.int64)
-    for position in range(min(clen, history_length)):
-        newest = steps - 1 - position  # age `position` before branch t
-        live = newest >= 0
-        anchored = np.where(live, newest, 0)
-        # Number of window terms at this bit position: capped by the
-        # history length and by how many branches have resolved so far.
-        in_window = (history_length - 1 - position) // clen + 1
-        available = anchored // clen + 1
-        terms = np.minimum(in_window, available)
-        oldest = anchored - terms * clen
-        span = prefix[anchored] ^ np.where(oldest >= 0, prefix[np.maximum(oldest, 0)], 0)
-        out |= np.where(live, span, 0) << position
-    return out
+    bank = FoldedHistoryBank(folds)
+    row_bytes = len(folds) * bank.slot_bits // 8
+    rows = bytearray()
+    for taken in outcomes.tolist():
+        rows += bank.value.to_bytes(row_bytes, "little")
+        bank.update(taken)
+    slots = np.frombuffer(bytes(rows), dtype=f"<u{bank.slot_bits // 8}")
+    return slots.reshape(outcomes.size, len(folds)).astype(np.int64)
 
 
 def fold_bits_stream(values: np.ndarray, input_width: int, output_width: int) -> np.ndarray:
@@ -170,15 +156,17 @@ class TraceStreams:
             pack = self._pc_packs[width] = pack_stream(low_bits, width)
         return pack
 
-    def fold(self, history_length: int, compressed_length: int) -> np.ndarray:
-        """Folded-history stream for one (length, width) pair."""
-        key = (history_length, compressed_length)
-        fold = self._folds.get(key)
-        if fold is None:
-            fold = self._folds[key] = folded_stream(
-                self.outcomes, history_length, compressed_length
-            )
-        return fold
+    def folds(self, pairs: Sequence[tuple[int, int]]) -> list[np.ndarray]:
+        """Folded-history streams of (length, width) ``pairs``, in order.
+
+        Pairs not memoised yet are computed together in one bank pass.
+        """
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in self._folds]
+        if missing:
+            columns = folded_streams(self.outcomes, missing)
+            for column, pair in enumerate(missing):
+                self._folds[pair] = np.ascontiguousarray(columns[:, column])
+        return [self._folds[pair] for pair in pairs]
 
 
 class StreamCache:

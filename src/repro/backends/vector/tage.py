@@ -6,10 +6,10 @@ but everything the per-branch Python loop spends most of its time on is
 not: the three folded-history CSRs per tagged table, the path-history
 fold and the index/tag hashes are all pure functions of the resolved
 trace prefix.  This kernel precomputes the per-branch index and tag
-stream of every tagged table in a handful of array passes
-(:func:`~repro.backends.vector.streams.folded_stream` — one strided
-prefix-XOR pass per distinct (history length, width) pair, shared across
-tables and lanes via the per-trace memo) and then runs the *real*
+stream of every tagged table — the folds in one fold-bank pass over the
+outcomes (:func:`~repro.backends.vector.streams.folded_streams`, shared
+across tables and lanes via the per-trace memo), the hashes in a handful
+of array passes — and then runs the *real*
 :class:`~repro.core.tage.TAGEPredictor` through the real
 :class:`~repro.pipeline.engine.SimulationEngine` with the index/tag
 computation and the fold bookkeeping replaced by stream lookups.
@@ -110,13 +110,20 @@ def _streams_for(kernel: TAGEKernel, streams: TraceStreams) -> tuple[list, list]
     config = kernel.config
     pcs = streams.arrays.pcs
     path = streams.path_pack(config.path_history_bits)
+    tables = range(config.num_tagged_tables)
+    lengths = config.history_lengths
+    folds = streams.folds(
+        [(lengths[t], config.table_log2_entries[t]) for t in tables]
+        + [(lengths[t], config.tag_widths[t]) for t in tables]
+        + [(lengths[t], max(1, config.tag_widths[t] - 1)) for t in tables]
+    )
     index_streams = []
     tag_streams = []
-    for table in range(config.num_tagged_tables):
+    for table in tables:
         width = config.table_log2_entries[table]
         tag_width = config.tag_widths[table]
-        length = config.history_lengths[table]
-        index_fold = streams.fold(length, width)
+        length = lengths[table]
+        index_fold, tag_fold_1, tag_fold_2 = folds[table :: len(tables)]
         path_length = min(length, config.path_history_bits)
         path_fold = fold_bits_stream(path & np.int64(mask(path_length)), path_length, width)
         rotation = table % width
@@ -126,8 +133,6 @@ def _streams_for(kernel: TAGEKernel, streams: TraceStreams) -> tuple[list, list]
             )
         pc_hash = (pcs >> 2) ^ (pcs >> (2 + width)) ^ (pcs >> (2 + 2 * width))
         index_streams.append(((pc_hash ^ index_fold ^ path_fold) & mask(width)).tolist())
-        tag_fold_1 = streams.fold(length, tag_width)
-        tag_fold_2 = streams.fold(length, max(1, tag_width - 1))
         tag_streams.append(
             (((pcs >> 2) ^ tag_fold_1 ^ (tag_fold_2 << 1)) & mask(tag_width)).tolist()
         )

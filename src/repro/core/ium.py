@@ -162,24 +162,15 @@ class ImmediateUpdateMimicker:
 
     def mark_executed(self, sequence: int, taken: bool) -> None:
         """Record the resolved direction of an in-flight branch (execute stage)."""
-        entry = self._entry(sequence)
-        if entry is not None:
-            entry.outcome = taken
-            entry.executed = True
-            entry.counter = clamp(
-                entry.counter + (1 if taken else -1), entry.counter_lo, entry.counter_hi
-            )
-
-    def _entry(self, sequence: int) -> IUMEntry | None:
-        """The in-flight entry recorded as ``sequence``, if still tracked."""
-        entries = self._entries
-        if entries:
-            # Tracked sequences are consecutive while entries leave only
-            # from the front (retire) or the back (squash).
-            offset = sequence - entries[0].sequence
-            if 0 <= offset < len(entries) and entries[offset].sequence == sequence:
-                return entries[offset]
-        return next((entry for entry in entries if entry.sequence == sequence), None)
+        # Branches execute a few slots behind fetch: search from the youngest.
+        for entry in reversed(self._entries):
+            if entry.sequence == sequence:
+                entry.outcome = taken
+                entry.executed = True
+                entry.counter = clamp(
+                    entry.counter + (1 if taken else -1), entry.counter_lo, entry.counter_hi
+                )
+                return
 
     def squash_after(self, sequence: int) -> None:
         """Squash every entry younger than ``sequence`` (misprediction repair)."""

@@ -125,9 +125,9 @@ class TAGEPredictor(Predictor):
         self._ctr_hi = (1 << (cfg.counter_bits - 1)) - 1
         self._u_max = (1 << cfg.useful_bits) - 1
         sizes = [1 << cfg.table_log2_entries[table] for table in tables]
-        self._ctr = [_zeros(_typecode(cfg.counter_bits, signed=True), n) for n in sizes]
+        self._ctr = [_zeros("b", n) for n in sizes]
         self._tags = [_zeros("i", n) for n in sizes]
-        self._useful = [_zeros(_typecode(cfg.useful_bits, signed=False), n) for n in sizes]
+        self._useful = [_zeros("b", n) for n in sizes]
 
         self.history = GlobalHistoryRegister(capacity=max(64, cfg.max_history + 8))
         self.path_history = PathHistory(width=cfg.path_history_bits)
@@ -452,14 +452,6 @@ class TAGEPredictor(Predictor):
         self.useful_resets = 0
         if self.bank_selector is not None:
             self.bank_selector.reset()
-
-
-def _typecode(bits: int, signed: bool) -> str:
-    """The narrowest ``array`` typecode holding ``bits``-bit counters."""
-    for code in ("b", "h", "i", "q") if signed else ("B", "H", "I", "Q"):
-        if bits <= 8 * array(code).itemsize:
-            return code
-    raise ValueError(f"{bits}-bit counters do not fit a 64-bit array element")
 
 
 def _zeros(typecode: str, entries: int) -> array:

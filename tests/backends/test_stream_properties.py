@@ -15,10 +15,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.vector.streams import fold_bits_stream, folded_stream, pack_stream
+from repro.backends.vector.streams import fold_bits_stream, folded_streams, pack_stream
 from repro.common.bits import fold_bits, mask
 from repro.histories.folded import FoldedHistory
 from repro.histories.global_history import GlobalHistoryRegister
+
+
+def folded_stream(outcomes: np.ndarray, history_length: int, width: int) -> np.ndarray:
+    """One fold's stream out of :func:`folded_streams`."""
+    return folded_streams(outcomes, [(history_length, width)])[:, 0]
 
 
 def _fold_trajectory(outcomes, history_length, width):
@@ -70,6 +75,17 @@ class TestFoldedStream:
 
     def test_empty_stream(self):
         assert folded_stream(np.zeros(0, dtype=np.int64), 8, 4).size == 0
+
+    @given(
+        st.lists(st.booleans(), max_size=300),
+        st.lists(st.tuples(st.integers(1, 120), st.integers(1, 20)), min_size=1, max_size=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_column_matches_its_own_fold(self, outcomes, folds):
+        """Several folds computed together equal each fold computed alone."""
+        streams = folded_streams(np.array(outcomes, dtype=np.int64), folds)
+        for column, (history_length, width) in enumerate(folds):
+            assert streams[:, column].tolist() == _fold_trajectory(outcomes, history_length, width)
 
 
 class TestPackStream:

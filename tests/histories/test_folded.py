@@ -83,9 +83,7 @@ def _drive_bank(bank: FoldedHistoryBank, history: GlobalHistoryRegister, outcome
 
 class TestFoldedHistoryBank:
     @given(
-        st.lists(
-            st.tuples(st.integers(1, 2000), st.integers(1, 20)), min_size=1, max_size=8
-        ),
+        st.lists(st.tuples(st.integers(1, 2000), st.integers(1, 20)), min_size=1, max_size=8),
         st.data(),
     )
     @settings(max_examples=40, deadline=None)

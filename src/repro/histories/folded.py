@@ -10,14 +10,15 @@ removing the outgoing one.
 Two implementations of that structure live here:
 
 * :class:`FoldedHistory` — one CSR, updated exactly as the hardware
-  description reads.  It is the reference model (GEHL, FTL and the
-  vectorised fold streams use it directly, and the tests use it as the
-  oracle for the bank below).
+  description reads.  It is the reference model: the GEHL and FTL
+  predictors use it directly, and the tests use it as the oracle for
+  the bank below.
 * :class:`FoldedHistoryBank` — every fold of a predictor packed side by
   side as fixed-width *lanes* of one Python integer, so one branch
   advances all of them with a handful of big-integer operations instead
   of one small update per fold.  TAGE keeps its 3 folds per tagged table
-  (index, tag CSR1, tag CSR2) in one bank.
+  (index, tag CSR1, tag CSR2) in one bank, and the numpy kernels compute
+  their per-branch fold streams with one.
 
 Bank lane layout
 ----------------

@@ -679,10 +679,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     _install_drain_handlers(_Drain())  # type: ignore[arg-type]
     _banner(f"repro worker {worker.worker_id} leasing from {broker.describe()}",
             poll=worker.poll_interval, visibility=broker.visibility)
-    try:
-        processed = worker.run(max_jobs=args.max_jobs)
-    finally:
-        broker.close()
+    processed = worker.run(max_jobs=args.max_jobs)
     _banner(f"worker {worker.worker_id}: processed {processed} job(s)")
     return 0
 
@@ -704,11 +701,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.broker:
         from repro.distrib import connect_broker
 
-        broker = connect_broker(args.broker)
-        try:
-            fleet = broker.stats()
-        finally:
-            broker.close()
+        fleet = connect_broker(args.broker).stats()
     else:
         from repro.service import ServiceClientError
 
@@ -1050,11 +1043,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="persist job documents as JSON files here "
                             "(default: in-memory only; share it between "
                             "front ends in broker mode)")
-    serve.add_argument("--broker", default=None, metavar="SPEC",
+    serve.add_argument("--broker", default=None, metavar="DIR",
                        help="dispatch jobs to a worker fleet instead of "
-                            "executing locally: a shared directory path, "
-                            "'memory', or a redis:// URL (default: "
-                            "REPRO_BROKER, else local execution)")
+                            "executing locally: the shared broker directory "
+                            "(default: REPRO_BROKER, else local execution)")
     serve.add_argument("--token-file", default=None, metavar="FILE",
                        help="bearer tokens, one 'client=token' (or bare token) "
                             "per line; overrides REPRO_SERVICE_TOKENS")
@@ -1092,9 +1084,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "gracefully: the in-flight job finishes, then the worker "
                     "deregisters and exits.",
     )
-    worker.add_argument("--broker", default=None, metavar="SPEC",
-                        help="broker spec: shared directory path, 'memory', or "
-                             "a redis:// URL (default: REPRO_BROKER)")
+    worker.add_argument("--broker", default=None, metavar="DIR",
+                        help="the shared broker directory (default: "
+                             "REPRO_BROKER)")
     worker.add_argument("--id", default=None, metavar="NAME",
                         help="worker id shown in 'repro fleet' "
                              "(default: <host>-<pid>-<hex>)")
@@ -1117,9 +1109,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument("--url", default="http://127.0.0.1:8321", metavar="URL",
                        help="service base URL (default http://127.0.0.1:8321)")
-    fleet.add_argument("--broker", default=None, metavar="SPEC",
-                       help="read this broker directly instead of asking a "
-                            "front end")
+    fleet.add_argument("--broker", default=None, metavar="DIR",
+                       help="read this shared broker directory directly "
+                            "instead of asking a front end")
     _add_token_option(fleet)
     fleet.add_argument("--json", action="store_true", help="machine-readable output")
     fleet.set_defaults(func=_cmd_fleet)

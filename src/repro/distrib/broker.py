@@ -1,4 +1,4 @@
-"""The broker contract: leased job delivery between front ends and workers.
+"""The broker: leased job delivery between front ends and workers.
 
 A *broker* is the hand-off point of the distributed deployment: front
 ends (:class:`~repro.service.core.SimulationService` in broker-dispatch
@@ -18,24 +18,49 @@ at-least-once delivery semantics:
 * completion is first-write-wins: when an expired lease was re-delivered
   and *both* workers finish (results are deterministic, so both are
   correct), the second :meth:`Broker.complete` is a no-op returning
-  ``False`` — never an error, never a double write.
+  ``False`` — never an error, never a double write,
+* a report from a worker whose lease was reaped changes nothing: the
+  re-delivery owns the attempt accounting from then on.
 
 Workers additionally *register* with capability tags (live backends,
 core count, host/pid) and refresh a registration heartbeat, so the fleet
 is observable from any front end (``GET /v1/stats``, ``repro fleet``).
 
-Two implementations ship: :class:`~repro.distrib.memory.MemoryBroker`
-(in-process, for tests and single-host composition) and
-:class:`~repro.distrib.fsbroker.FileBroker` (a shared directory; usable
-across processes and across hosts on a shared filesystem).  A
-redis-backed broker (:mod:`repro.distrib.redis_broker`) is available
-behind an optional import.  All implementations accept an injectable
-``clock`` so lease-expiry and backoff semantics are testable without
-sleeping.
+:class:`Broker` implements that whole state machine once, over a small
+storage contract a subclass supplies.  The store holds JSON documents
+under ``(kind, name)`` keys — kinds are ``jobs``, ``pending``,
+``leased``, ``done``, ``dead``, ``cancelled``, ``workers``, ``spans``
+and the private ``tmp`` — and offers seven primitives, each atomic on
+its own: :meth:`~Broker._create` (exclusive create), :meth:`~Broker.
+_replace`, :meth:`~Broker._get`, :meth:`~Broker._scan` (sorted names),
+:meth:`~Broker._move` (atomic rename; a move to ``tmp`` is the atomic
+take), :meth:`~Broker._remove` and :meth:`~Broker._mtime`.  The
+protocol never holds a lock across primitives, so any store whose
+primitives are atomic is safe for concurrent front ends and workers:
+
+* claiming a job is moving its ``pending`` ticket to ``leased`` —
+  exactly one claimer wins however many race,
+* terminal records (``done``/``dead``/``cancelled``) are exclusive
+  creates, so the first write wins,
+* a lease is taken over by moving it to a private ``tmp`` name and
+  checking the owner afterwards (put back when it is someone else's),
+* ``reap`` heals *ghost* leases (a heartbeat that rewrote a lease the
+  reaper had just taken) and grants a lease caught mid-claim, whose
+  content is still the ticket, one visibility window from its mtime,
+* ``lease`` and ``complete`` discard stale tickets of finished jobs.
+
+Two stores ship: :class:`~repro.distrib.fsbroker.FileBroker` (a shared
+directory; usable across processes and across hosts on a shared
+filesystem) and :class:`~repro.distrib.memory.MemoryBroker` (dicts
+behind a lock, for tests and in-process composition).  Both accept an
+injectable ``clock`` so lease-expiry and backoff semantics are testable
+without sleeping.
 """
 
 from __future__ import annotations
 
+import itertools
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -68,7 +93,12 @@ DEFAULT_WORKER_TTL = 30.0
 
 #: Broker job lifecycle: pending → leased → done, or back to pending on
 #: lease expiry / execution failure, ending in dead after max attempts.
+#: Each state is also the store kind holding the jobs in it.
 JOB_STATES = ("pending", "leased", "done", "dead", "cancelled")
+
+#: Every store kind: the job states plus job records, worker
+#: registrations, filed spans and private take-over scratch.
+STORE_KINDS = ("jobs", *JOB_STATES, "workers", "spans", "tmp")
 
 
 class BrokerError(RuntimeError):
@@ -100,11 +130,8 @@ class Lease:
 
 
 class Broker:
-    """Interface + shared policy knobs; see the module docstring.
-
-    Subclasses implement the storage; retry/backoff/visibility policy
-    lives here so every implementation agrees on the semantics.
-    """
+    """The job lifecycle and worker registry over a store; see the
+    module docstring for the protocol and the storage contract."""
 
     def __init__(
         self,
@@ -125,6 +152,7 @@ class Broker:
         self.backoff_cap = backoff_cap
         self.worker_ttl = worker_ttl
         self._clock = clock or time.time
+        self._seq = itertools.count()
 
     def _now(self) -> float:
         return self._clock()
@@ -133,7 +161,7 @@ class Broker:
         """Delay before re-delivering after ``attempt`` deliveries."""
         return min(self.backoff_base * (2 ** max(attempt - 1, 0)), self.backoff_cap)
 
-    def _note(self, event: str, amount: int = 1) -> None:
+    def _note(self, event: str) -> None:
         """Count a delivery event in *this* process' metrics registry.
 
         Events: ``published``, ``leased``, ``completed``, ``retried``
@@ -143,40 +171,213 @@ class Broker:
         and meet again on the front end's ``/v1/metrics`` via the
         worker-heartbeat snapshot merge.
         """
-        if amount:
-            get_metrics().counter(
-                "repro_broker_events_total",
-                "Broker delivery events by type.",
-                ("event",),
-            ).inc(amount, event=event)
+        get_metrics().counter(
+            "repro_broker_events_total",
+            "Broker delivery events by type.",
+            ("event",),
+        ).inc(event=event)
+
+    # ------------------------------------------------------------------
+    # Storage primitives: what a store supplies
+    # ------------------------------------------------------------------
+
+    def _create(self, kind: str, name: str, document: dict) -> bool:
+        """Store ``document`` unless ``kind/name`` exists; ``True`` when
+        this call created it (first write wins)."""
+        raise NotImplementedError
+
+    def _replace(self, kind: str, name: str, document: dict) -> None:
+        """Store ``document`` at ``kind/name``, replacing any old one."""
+        raise NotImplementedError
+
+    def _get(self, kind: str, name: str) -> dict | None:
+        """The document at ``kind/name``, or ``None`` when absent."""
+        raise NotImplementedError
+
+    def _scan(self, kind: str) -> list[str]:
+        """Every name under ``kind``, sorted."""
+        raise NotImplementedError
+
+    def _move(self, kind: str, name: str, to_kind: str, to_name: str) -> bool:
+        """Atomically rename, replacing the target; ``False`` when the
+        source is gone (a racer moved or removed it first)."""
+        raise NotImplementedError
+
+    def _remove(self, kind: str, name: str) -> None:
+        """Delete ``kind/name``; absent is not an error."""
+        raise NotImplementedError
+
+    def _mtime(self, kind: str, name: str) -> float | None:
+        """When ``kind/name`` was last written or moved, or ``None`` when
+        absent (so it doubles as the existence probe)."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Protocol helpers
+    # ------------------------------------------------------------------
+
+    def _unique(self, label: str) -> str:
+        """A name no other call, in this process or another, produces."""
+        return f"{label}.{os.getpid()}.{next(self._seq)}"
+
+    def _exists(self, kind: str, name: str) -> bool:
+        return self._mtime(kind, name) is not None
+
+    @staticmethod
+    def _ticket_name(not_before: float, attempt: int, job_id: str) -> str:
+        # The sorted scan of pending IS the delivery order: earliest
+        # not-before first, then attempt, then job id.
+        return f"{int(not_before * 1000):013d}-{attempt:03d}-{job_id}"
+
+    @staticmethod
+    def _ticket_job_id(name: str) -> str | None:
+        parts = name.split("-", 2)
+        return parts[2] if len(parts) == 3 else None
+
+    def _enqueue(self, job_id: str, attempt: int, not_before: float,
+                 error: str | None) -> None:
+        self._replace(
+            "pending", self._ticket_name(not_before, attempt, job_id),
+            {"id": job_id, "attempt": attempt, "not_before": not_before,
+             "error": error},
+        )
+
+    def _find_ticket(self, job_id: str) -> str | None:
+        for name in self._scan("pending"):
+            if self._ticket_job_id(name) == job_id:
+                return name
+        return None
+
+    def _terminal_state(self, job_id: str) -> str | None:
+        for state in ("done", "dead", "cancelled"):
+            if self._exists(state, job_id):
+                return state
+        return None
+
+    def _take_lease(self, job_id: str, worker_id: str) -> dict | None:
+        """Atomically remove ``worker_id``'s lease and return its content.
+
+        Rename-then-verify: if the lease turns out to belong to another
+        worker (it expired and was re-delivered), it is put back
+        untouched and ``None`` returned.
+        """
+        scratch = self._unique(job_id)
+        if not self._move("leased", job_id, "tmp", scratch):
+            return None
+        lease = self._get("tmp", scratch)
+        if lease is None or lease.get("worker") != worker_id:
+            self._move("tmp", scratch, "leased", job_id)
+            return None
+        self._remove("tmp", scratch)
+        return lease
+
+    def _retry_or_dead_letter(self, job_id: str, record: dict, attempt: int,
+                              error: str, event: str) -> None:
+        """Re-queue after ``attempt`` deliveries with backoff, or
+        dead-letter once the job's attempt budget is spent."""
+        now = self._now()
+        if attempt >= record.get("max_attempts", self.max_attempts):
+            self._create("dead", job_id,
+                         {"error": error, "attempts": attempt, "finished": now})
+            self._note("dead_lettered")
+        else:
+            self._enqueue(job_id, attempt + 1, now + self.backoff(attempt), error)
+            self._note(event)
+
+    def _file_spans(self, job_id: str, spans: list | None) -> None:
+        """Persist one attempt's spans next to (never inside) the results.
+
+        Each report gets its own unique name — no shared append, so
+        concurrent completions of an expired-lease twin file as genuine
+        siblings with zero coordination.
+        """
+        if spans:
+            self._replace("spans", self._unique(job_id), {"spans": spans})
+
+    def _job_spans(self, job_id: str) -> list:
+        """Concatenate every attempt's span document for ``job_id``."""
+        prefix = f"{job_id}."
+        collected: list = []
+        for name in self._scan("spans"):
+            if name.startswith(prefix):
+                entry = self._get("spans", name)
+                if entry:
+                    collected.extend(entry.get("spans", ()))
+        return collected
 
     # ------------------------------------------------------------------
     # Job lifecycle
     # ------------------------------------------------------------------
 
-    def publish(self, job_id: str, payload: dict, max_attempts: int | None = None) -> None:
+    def publish(self, job_id: str, payload: dict) -> None:
         """Enqueue ``payload`` (JSON-pure) for delivery as ``job_id``.
 
         The caller supplies the id so the broker job keeps the identity
         of the service job that produced it.  Re-publishing an id is a
         :class:`BrokerError`.
         """
-        raise NotImplementedError
+        now = self._now()
+        created = self._create("jobs", job_id, {
+            "id": job_id,
+            "payload": payload,
+            "max_attempts": self.max_attempts,
+            "created": now,
+        })
+        if not created:
+            raise BrokerError(f"job {job_id!r} is already published")
+        self._enqueue(job_id, attempt=1, not_before=now, error=None)
+        self._note("published")
 
     def lease(self, worker_id: str) -> Lease | None:
         """Claim the oldest deliverable job, or ``None`` when idle.
 
-        Implementations reap expired leases opportunistically before
-        scanning, so a fleet needs no dedicated reaper process (front
-        ends reap too, covering the all-workers-died case).
+        Expired leases are reaped first, so a fleet needs no dedicated
+        reaper process (front ends reap too, covering the
+        all-workers-died case).
         """
-        raise NotImplementedError
+        self.reap()
+        now = self._now()
+        for name in self._scan("pending"):
+            job_id = self._ticket_job_id(name)
+            if job_id is None:
+                continue
+            ticket = self._get("pending", name)
+            if ticket is None or ticket["not_before"] > now:
+                continue  # claimed by a racing worker, or backing off
+            # THE claim: atomic, exactly one winner per ticket.
+            if not self._move("pending", name, "leased", job_id):
+                continue
+            if self._terminal_state(job_id) is not None:
+                # A stale ticket for an already-finished job (e.g. it was
+                # completed after a reap re-queued it): discard quietly.
+                self._remove("leased", job_id)
+                continue
+            record = self._get("jobs", job_id)
+            if record is None:
+                self._remove("leased", job_id)
+                continue
+            deadline = now + self.visibility
+            self._replace("leased", job_id, {
+                "id": job_id,
+                "attempt": ticket["attempt"],
+                "worker": worker_id,
+                "deadline": deadline,
+            })
+            self._note("leased")
+            return Lease(job_id, record["payload"], ticket["attempt"],
+                         deadline, worker_id)
+        return None
 
     def heartbeat(self, job_id: str, worker_id: str) -> float:
         """Extend the lease by the visibility timeout; returns the new
         deadline.  Raises :class:`LeaseLostError` when the lease expired
         or belongs to another worker."""
-        raise NotImplementedError
+        lease = self._get("leased", job_id)
+        if lease is None or lease.get("worker") != worker_id:
+            raise LeaseLostError(f"worker {worker_id!r} no longer holds job {job_id!r}")
+        lease["deadline"] = self._now() + self.visibility
+        self._replace("leased", job_id, lease)
+        return lease["deadline"]
 
     def complete(self, job_id: str, worker_id: str, results: Any,
                  spans: list | None = None) -> bool:
@@ -191,75 +392,145 @@ class Broker:
         completion loses the results race but still files its spans, so
         re-delivered attempts appear as sibling subtrees of one trace.
         """
-        raise NotImplementedError
+        if not self._exists("jobs", job_id):
+            raise UnknownBrokerJobError(job_id)
+        self._file_spans(job_id, spans)
+        lease = self._get("leased", job_id)
+        attempt = lease["attempt"] if lease and lease.get("worker") == worker_id else None
+        won = self._create("done", job_id, {
+            "results": results,
+            "worker": worker_id,
+            "attempt": attempt,
+            "finished": self._now(),
+        })
+        self._take_lease(job_id, worker_id)
+        if won:
+            # A reaper may have re-queued the job while we were finishing
+            # it; the ticket is now stale and must not be delivered.
+            ticket = self._find_ticket(job_id)
+            if ticket is not None:
+                self._remove("pending", ticket)
+            self._note("completed")
+        return won
 
     def fail(self, job_id: str, worker_id: str, error: str,
              spans: list | None = None) -> None:
         """Record an execution failure: re-queue with backoff, or
         dead-letter once the attempt budget is spent.  ``spans`` from
         the failed attempt accumulate like :meth:`complete`'s."""
-        raise NotImplementedError
+        record = self._get("jobs", job_id)
+        if record is None:
+            raise UnknownBrokerJobError(job_id)
+        self._file_spans(job_id, spans)
+        lease = self._take_lease(job_id, worker_id)
+        if lease is None:
+            # Lease already reaped/re-delivered: that delivery owns the
+            # retry accounting now, a late failure report changes nothing.
+            return
+        self._retry_or_dead_letter(job_id, record, lease["attempt"], error, "retried")
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a *pending* job; ``False`` when it is leased or
         terminal (the caller decides whether that is a conflict)."""
-        raise NotImplementedError
-
-    def snapshot(self, job_id: str) -> dict[str, Any]:
-        """The broker's view of one job: ``state`` (:data:`JOB_STATES`),
-        ``attempts``, ``worker``, ``error``, ``results`` and timing
-        fields.  Raises :class:`UnknownBrokerJobError`."""
-        raise NotImplementedError
+        if not self._exists("jobs", job_id):
+            raise UnknownBrokerJobError(job_id)
+        name = self._find_ticket(job_id)
+        if name is None:
+            return False
+        scratch = self._unique(job_id)
+        if not self._move("pending", name, "tmp", scratch):
+            return False  # leased in the race window
+        self._remove("tmp", scratch)
+        self._create("cancelled", job_id, {"finished": self._now()})
+        return True
 
     def reap(self) -> int:
         """Re-queue (or dead-letter) expired leases; returns how many
         leases were taken over."""
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Worker registry
-    # ------------------------------------------------------------------
-
-    def register_worker(self, worker_id: str, capabilities: dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def worker_heartbeat(
-        self,
-        worker_id: str,
-        completed: int | None = None,
-        failed: int | None = None,
-        metrics: dict[str, Any] | None = None,
-    ) -> None:
-        """Refresh the registration heartbeat (and job counters).
-
-        ``metrics`` is the worker's latest *cumulative* metrics-registry
-        snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`); the broker
-        stores only the most recent one per worker, so a lost heartbeat
-        never loses counts — the next snapshot supersedes it.  Front ends
-        fold these into ``GET /v1/metrics``.
-        """
-        raise NotImplementedError
-
-    def deregister_worker(self, worker_id: str) -> None:
-        raise NotImplementedError
-
-    def workers(self) -> list[dict[str, Any]]:
-        """Registered workers with ``heartbeat_age`` and ``alive`` derived
-        from :attr:`worker_ttl`, sorted by worker id."""
-        raise NotImplementedError
+        now = self._now()
+        reaped = 0
+        for name in self._scan("leased"):
+            lease = self._get("leased", name)
+            if lease is None:
+                continue
+            deadline = lease.get("deadline")
+            if deadline is None:
+                # Mid-claim (ticket moved, lease not yet written): grant
+                # the claimer a full visibility window from the move.
+                moved = self._mtime("leased", name)
+                if moved is None:
+                    continue
+                deadline = moved + self.visibility
+            if deadline >= now:
+                continue
+            scratch = self._unique(f"reap-{name}")
+            if not self._move("leased", name, "tmp", scratch):
+                continue  # completed or reaped concurrently
+            self._remove("tmp", scratch)
+            job_id = lease.get("id") or name
+            if self._terminal_state(job_id) is not None or self._find_ticket(job_id):
+                continue  # ghost lease (e.g. a heartbeat raced a reap)
+            reaped += 1
+            attempt = lease.get("attempt", 1)
+            error = (f"lease expired after attempt {attempt} "
+                     f"(worker {lease.get('worker', '?')})")
+            self._retry_or_dead_letter(job_id, self._get("jobs", job_id) or {},
+                                       attempt, error, "reaped")
+        return reaped
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
-    def describe(self) -> str:
-        """A short human-readable locator (shown by ``repro fleet``)."""
-        return type(self).__name__
+    def snapshot(self, job_id: str) -> dict[str, Any]:
+        """The broker's view of one job: ``state`` (:data:`JOB_STATES`),
+        ``attempts``, ``worker``, ``error``, ``results`` and timing
+        fields.  Raises :class:`UnknownBrokerJobError`."""
+        record = self._get("jobs", job_id)
+        if record is None:
+            raise UnknownBrokerJobError(job_id)
+        base = {
+            "id": job_id,
+            "created": record["created"],
+            "max_attempts": record["max_attempts"],
+            "error": None,
+        }
+        done = self._get("done", job_id)
+        if done is not None:
+            return {**base, "state": "done", "attempts": done["attempt"],
+                    "worker": done["worker"], "results": done["results"],
+                    "finished": done["finished"],
+                    "spans": self._job_spans(job_id)}
+        dead = self._get("dead", job_id)
+        if dead is not None:
+            return {**base, "state": "dead", "attempts": dead["attempts"],
+                    "worker": None, "results": None,
+                    "finished": dead["finished"], "error": dead["error"],
+                    "spans": self._job_spans(job_id)}
+        cancelled = self._get("cancelled", job_id)
+        if cancelled is not None:
+            return {**base, "state": "cancelled", "attempts": 0, "worker": None,
+                    "results": None, "finished": cancelled["finished"]}
+        lease = self._get("leased", job_id)
+        if lease is not None and "worker" in lease:
+            return {**base, "state": "leased", "attempts": lease["attempt"],
+                    "worker": lease["worker"], "results": None,
+                    "deadline": lease["deadline"], "finished": None}
+        name = self._find_ticket(job_id)
+        ticket = self._get("pending", name) if name is not None else None
+        if ticket is not None:
+            return {**base, "state": "pending",
+                    "attempts": ticket["attempt"] - 1, "worker": None,
+                    "results": None, "not_before": ticket["not_before"],
+                    "error": ticket.get("error"), "finished": None}
+        # Transiently between states (mid-claim or mid-move): report pending.
+        return {**base, "state": "pending", "attempts": None, "worker": None,
+                "results": None, "finished": None}
 
     def counts(self) -> dict[str, int]:
         """Jobs per state (``pending``/``leased``/``done``/``dead``/
         ``cancelled``)."""
-        raise NotImplementedError
+        return {state: len(self._scan(state)) for state in JOB_STATES}
 
     def dead_letters(self, limit: int = 20) -> list[dict[str, Any]]:
         """The most recently dead-lettered jobs, newest first.
@@ -267,10 +538,24 @@ class Broker:
         Each row carries ``id``, ``error`` (the last delivery's failure
         string), ``attempts`` and ``finished`` — enough for ``/v1/stats``
         and ``repro fleet`` to say *why* a job died without a per-job
-        lookup.  Implementations that do not track dead letters may
-        return an empty list.
+        lookup.
         """
-        return []
+        rows = []
+        for name in self._scan("dead"):
+            entry = self._get("dead", name)
+            if entry is not None:
+                rows.append({
+                    "id": name,
+                    "error": entry.get("error"),
+                    "attempts": entry.get("attempts"),
+                    "finished": entry.get("finished"),
+                })
+        rows.sort(key=lambda row: row["finished"] or 0, reverse=True)
+        return rows[:limit]
+
+    def describe(self) -> str:
+        """A short human-readable locator (shown by ``repro fleet``)."""
+        return type(self).__name__
 
     def stats(self) -> dict[str, Any]:
         """The fleet document rendered into ``/v1/stats``."""
@@ -292,11 +577,64 @@ class Broker:
             "generated": now,
         }
 
-    def close(self) -> None:
-        """Release broker resources (no-op for most implementations)."""
+    # ------------------------------------------------------------------
+    # Worker registry
+    # ------------------------------------------------------------------
+
+    def register_worker(self, worker_id: str, capabilities: dict[str, Any]) -> None:
+        now = self._now()
+        self._replace("workers", worker_id, {
+            "id": worker_id,
+            "capabilities": capabilities,
+            "started": now,
+            "heartbeat": now,
+            "completed": 0,
+            "failed": 0,
+        })
+
+    def worker_heartbeat(
+        self,
+        worker_id: str,
+        completed: int | None = None,
+        failed: int | None = None,
+        metrics: dict[str, Any] | None = None,
+    ) -> None:
+        """Refresh the registration heartbeat (and job counters).
+
+        ``metrics`` is the worker's latest *cumulative* metrics-registry
+        snapshot (:meth:`repro.obs.MetricsRegistry.snapshot`); the broker
+        stores only the most recent one per worker, so a lost heartbeat
+        never loses counts — the next snapshot supersedes it.  Front ends
+        fold these into ``GET /v1/metrics``.
+        """
+        record = self._get("workers", worker_id)
+        if record is None:
+            raise BrokerError(f"worker {worker_id!r} is not registered")
+        record["heartbeat"] = self._now()
+        if completed is not None:
+            record["completed"] = completed
+        if failed is not None:
+            record["failed"] = failed
+        if metrics is not None:
+            record["metrics"] = metrics
+        self._replace("workers", worker_id, record)
+
+    def deregister_worker(self, worker_id: str) -> None:
+        self._remove("workers", worker_id)
+
+    def workers(self) -> list[dict[str, Any]]:
+        """Registered workers with ``heartbeat_age`` and ``alive`` derived
+        from :attr:`worker_ttl`, sorted by worker id."""
+        now = self._now()
+        views = []
+        for name in self._scan("workers"):
+            record = self._get("workers", name)
+            if record is not None:
+                views.append(_worker_view(record, now, self.worker_ttl))
+        return views
 
 
-def worker_view(record: dict[str, Any], now: float, ttl: float) -> dict[str, Any]:
+def _worker_view(record: dict[str, Any], now: float, ttl: float) -> dict[str, Any]:
     """Derive the observable worker row from a stored registration."""
     heartbeat = record.get("heartbeat", record.get("started", now))
     age = max(now - heartbeat, 0.0)

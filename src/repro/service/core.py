@@ -320,8 +320,6 @@ class SimulationService:
         for lane in self._lanes.values():
             if lane.runner is not None and (lane.thread is None or not lane.thread.is_alive()):
                 lane.runner.close()
-        if self.broker is not None and (watcher is None or not watcher.is_alive()):
-            self.broker.close()
 
     def __enter__(self) -> "SimulationService":
         return self.start()

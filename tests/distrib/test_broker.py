@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
-from repro.distrib import FileBroker, MemoryBroker, connect_broker
+from repro.distrib import FileBroker, connect_broker
 from repro.distrib.broker import BrokerError, UnknownBrokerJobError
 
 
@@ -131,7 +133,6 @@ def test_file_broker_state_is_shared_between_instances(tmp_path):
 
 
 def test_connect_broker_specs(tmp_path):
-    assert isinstance(connect_broker("memory"), MemoryBroker)
     file_broker = connect_broker(str(tmp_path / "b"), visibility=7.0)
     assert isinstance(file_broker, FileBroker)
     assert file_broker.visibility == 7.0
@@ -139,11 +140,48 @@ def test_connect_broker_specs(tmp_path):
         connect_broker("")
 
 
-def test_redis_spec_without_redis_package_is_a_clear_error():
+@pytest.mark.parametrize("spec", ["redis://localhost:6379/0", "rediss://h/1",
+                                  "memory://", "file:///srv/broker"])
+def test_connect_broker_rejects_url_specs(spec, tmp_path, monkeypatch):
+    """A URL is never taken for a relative directory (``redis:``)."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="give a directory path"):
+        connect_broker(spec)
+    assert os.listdir(tmp_path) == []
+
+
+def test_racing_workers_lease_each_job_exactly_once(broker_factory):
+    """Threads race lease/complete with a tiny switch interval: every
+    primitive is atomic on its own, so no job is delivered twice and
+    every completion wins."""
+    import sys
+    import threading
+
+    broker = broker_factory(visibility=300.0)
+    jobs = [f"job-{index:03d}" for index in range(150)]
+    for job_id in jobs:
+        broker.publish(job_id, {})
+    leased: list[str] = []
+    wins: list[bool] = []
+
+    def drain(worker_id: str) -> None:
+        while (lease := broker.lease(worker_id)) is not None:
+            leased.append(lease.job_id)
+            wins.append(broker.complete(lease.job_id, worker_id, [worker_id]))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
     try:
-        import redis  # noqa: F401
-        pytest.skip("redis is installed here; the lazy-import error cannot fire")
-    except ImportError:
-        pass
-    with pytest.raises(BrokerError, match="optional 'redis' package"):
-        connect_broker("redis://localhost:6379/0")
+        threads = [threading.Thread(target=drain, args=(f"w{index}",))
+                   for index in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(leased) == jobs
+    assert all(wins)
+    assert broker.counts() == {"pending": 0, "leased": 0, "done": 150, "dead": 0,
+                               "cancelled": 0}

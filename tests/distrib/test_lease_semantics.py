@@ -173,3 +173,57 @@ def test_fail_requeues_with_backoff_window(broker_factory, fake_clock):
     clock.advance(2.0)
     retry = broker.lease("w1")
     assert retry is not None and retry.attempt == 2
+
+
+def test_late_fail_from_a_reaped_worker_changes_nothing(broker_factory, fake_clock):
+    """A's lease expired and was re-delivered to B; A's late failure
+    report must neither re-queue the job nor touch B's lease."""
+    clock = fake_clock
+    broker = broker_factory(visibility=5.0, backoff_base=0.0, clock=clock)
+    broker.publish("j", {})
+    assert broker.lease("A").attempt == 1
+    clock.advance(10.0)
+    twin = broker.lease("B")
+    assert twin is not None and twin.attempt == 2
+
+    broker.fail("j", "A", "late boom")
+    assert broker.lease("C") is None  # no second delivery while B runs
+    snap = broker.snapshot("j")
+    assert snap["state"] == "leased"
+    assert snap["worker"] == "B" and snap["attempts"] == 2
+    assert broker.heartbeat("j", "B") > clock.now
+    assert broker.counts()["pending"] == 0
+
+
+def test_late_fail_after_a_reap_requeues_only_once(broker_factory, fake_clock):
+    clock = fake_clock
+    broker = broker_factory(visibility=5.0, backoff_base=0.0, clock=clock)
+    broker.publish("j", {})
+    broker.lease("A")
+    clock.advance(10.0)
+    assert broker.reap() == 1
+
+    broker.fail("j", "A", "late boom")
+    assert broker.counts()["pending"] == 1
+    first = broker.lease("B")
+    assert first is not None and first.attempt == 2
+    assert broker.lease("C") is None  # exactly one worker gets attempt 2
+
+
+def test_a_done_job_is_not_redelivered_when_its_twin_expires(broker_factory, fake_clock):
+    """A completes while its re-delivered twin B holds the lease; B then
+    crashes.  B's expiry must not re-deliver the finished job."""
+    clock = fake_clock
+    broker = broker_factory(visibility=5.0, backoff_base=0.0, clock=clock)
+    broker.publish("j", {})
+    broker.lease("A")
+    clock.advance(10.0)
+    assert broker.lease("B").attempt == 2
+    assert broker.complete("j", "A", ["from A"]) is True
+
+    clock.advance(10.0)
+    assert broker.reap() == 0  # B's lease is a ghost of a finished job
+    assert broker.lease("C") is None
+    snap = broker.snapshot("j")
+    assert snap["state"] == "done" and snap["results"] == ["from A"]
+    assert broker.counts()["leased"] == 0
